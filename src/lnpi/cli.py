@@ -109,6 +109,11 @@ def _emit_json(data) -> None:
     print(json.dumps(data, indent=2, sort_keys=True))
 
 
+def _write_json(path: str, data) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(data, indent=2, sort_keys=True))
+
+
 def _load_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
@@ -161,8 +166,7 @@ def cmd_step(args) -> int:
     cfg, symtab = _session(args)
     result = step(cfg, args.fuel)
     if args.deriv:
-        with open(args.deriv, "w", encoding="utf-8") as fh:
-            json.dump([d.to_json() for _, d in result.results], fh, indent=2, sort_keys=True)
+        _write_json(args.deriv, [d.to_json() for _, d in result.results])
     if args.json:
         _emit_json(
             {
@@ -185,21 +189,7 @@ def cmd_trace(args) -> int:
     if not isinstance(listed, list) or not all(isinstance(x, str) for x in listed):
         raise ParseError(f"{args.actions} must hold a JSON list of action strings", 0)
     actions = [_parse_action(x, symtab) for x in listed]
-    trace = replay(cfg, actions, args.fuel)
-    if args.deriv:
-        data = trace.to_json()
-        data["names"] = _names_json(symtab)
-        with open(args.deriv, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2, sort_keys=True)
-    if args.json:
-        data = trace.to_json()
-        data["names"] = _names_json(symtab)
-        _emit_json(data)
-        return 0
-    print(_config_str(trace.start, symtab))
-    for s in trace.steps:
-        print(f"  {_action_str(s.action, symtab)} => {_config_str(s.config, symtab)}")
-    return 0
+    return _report_trace(args, replay(cfg, actions, args.fuel), symtab)
 
 
 def cmd_rename(args) -> int:
@@ -207,9 +197,9 @@ def cmd_rename(args) -> int:
     try:
         symtab = _names_from_json(data.get("names", {}))
         trace = Trace.from_json(data)
+        reserved = {a.index for a in trace.start.support().atoms()}  # a non-finite start raises
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise ParseError(f"{args.trace} is not a trace file", 0) from e
-    reserved = {a.index for a in trace.start.support().atoms()}
     n = _intern(symtab, args.old, reserved)
     m = _intern(symtab, args.new, reserved)
     try:
@@ -219,18 +209,20 @@ def cmd_rename(args) -> int:
         raise NotFreshAtStart(
             f"{args.old!r} and {args.new!r} must both be fresh for the start configuration"
         ) from None
-    if args.deriv:
-        out = renamed.to_json()
-        out["names"] = _names_json(symtab)
-        with open(args.deriv, "w", encoding="utf-8") as fh:
-            json.dump(out, fh, indent=2, sort_keys=True)
-    if args.json:
-        out = renamed.to_json()
-        out["names"] = _names_json(symtab)
-        _emit_json(out)
-        return 0
-    print(_config_str(renamed.start, symtab))
-    for s in renamed.steps:
+    return _report_trace(args, renamed, symtab)
+
+
+def _report_trace(args, trace: Trace, symtab: Symtab) -> int:
+    if args.deriv or args.json:
+        data = trace.to_json()
+        data["names"] = _names_json(symtab)
+        if args.deriv:
+            _write_json(args.deriv, data)
+        if args.json:
+            _emit_json(data)
+            return 0
+    print(_config_str(trace.start, symtab))
+    for s in trace.steps:
         print(f"  {_action_str(s.action, symtab)} => {_config_str(s.config, symtab)}")
     return 0
 
@@ -283,6 +275,16 @@ def cmd_selftest(args) -> int:
 # ------------- wiring -------------
 
 
+def _natural(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be a natural number, got {text!r}")
+    return n
+
+
 def _add_process_args(sp, with_env: bool = True) -> None:
     sp.add_argument("process", help="process text in the concrete grammar")
     if with_env:
@@ -317,14 +319,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("step", help="enumerate one-step transitions")
     _add_process_args(sp)
-    sp.add_argument("--fuel", type=int, default=8, help="replication unfolding budget")
+    sp.add_argument("--fuel", type=_natural, default=8, help="replication unfolding budget")
     sp.add_argument("--deriv", metavar="FILE", help="write derivations as JSON")
     sp.set_defaults(fn=cmd_step)
 
     sp = sub.add_parser("trace", help="replay a list of actions from a start process")
     _add_process_args(sp)
     sp.add_argument("actions", help="JSON file: list of action strings")
-    sp.add_argument("--fuel", type=int, default=8, help="replication unfolding budget")
+    sp.add_argument("--fuel", type=_natural, default=8, help="replication unfolding budget")
     sp.add_argument("--deriv", metavar="FILE", help="write the checked trace as JSON")
     sp.set_defaults(fn=cmd_trace)
 

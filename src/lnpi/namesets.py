@@ -36,6 +36,10 @@ def _min_modulus(modulus: int, residues: frozenset[int]) -> tuple[int, frozenset
     return modulus, residues  # unreachable: d = modulus always fits
 
 
+_NONE = frozenset()
+_ALL = frozenset({0})
+
+
 @dataclass(frozen=True)
 class NameSet:
     modulus: int = 1
@@ -46,13 +50,15 @@ class NameSet:
     def __post_init__(self) -> None:
         if self.modulus < 1:
             raise ValueError("modulus must be >= 1")
-        res = frozenset(r % self.modulus for r in self.residues)
-        mod, res = _min_modulus(self.modulus, res)
-        if len(res) == mod:  # full base collapses to modulus 1
-            mod, res = 1, frozenset({0})
-        exc = {}
-        for a, v in self.exceptions:
-            exc[a] = v  # later entries win, mirroring dict construction
+        if self.modulus == 1:
+            # Finite or cofinite: the base is a constant, nothing to minimise.
+            mod, res = 1, _ALL if self.residues else _NONE
+        else:
+            res = frozenset(r % self.modulus for r in self.residues)
+            mod, res = _min_modulus(self.modulus, res)
+            if len(res) == mod:  # full base collapses to modulus 1
+                mod, res = 1, _ALL
+        exc = dict(self.exceptions)  # later entries win
         exc = {a: v for a, v in exc.items() if v != ((a % mod) in res)}
         object.__setattr__(self, "modulus", mod)
         object.__setattr__(self, "residues", res)
@@ -114,12 +120,20 @@ class NameSet:
 
     def enumerate(self, k: int) -> list[Atom]:
         """The k least members (fewer if the set is smaller)."""
-        if self.is_finite():
-            return [Atom(a) for a, v in self.exceptions if v][:k]
+        return self.complement().least_outside(k)
+
+    def least_outside(self, k: int) -> list[Atom]:
+        """The k least atoms not in the set (fewer if its complement is smaller)."""
+        if self.modulus == 1 and self.residues:  # cofinite: the removed atoms
+            return [Atom(a) for a, v in self.exceptions if not v][:k]
+        if self.modulus == 1:  # finite: its exceptions are its members
+            inside = {a for a, _ in self.exceptions}.__contains__
+        else:  # genuinely periodic: the complement is infinite, so the scan ends
+            inside = self._member_index
         out: list[Atom] = []
         n = 0
         while len(out) < k:
-            if self._member_index(n):
+            if not inside(n):
                 out.append(Atom(n))
             n += 1
         return out
@@ -140,6 +154,12 @@ class NameSet:
     # ------------- boolean algebra -------------
 
     def _binary(self, other: NameSet, op) -> NameSet:
+        if self.modulus == 1 and other.modulus == 1:
+            # Finite and cofinite sets: each base is a constant.
+            x, y = bool(self.residues), bool(other.residues)
+            xs, ys = dict(self.exceptions), dict(other.exceptions)
+            exc = tuple((a, op(xs.get(a, x), ys.get(a, y))) for a in sorted(xs.keys() | ys.keys()))
+            return NameSet(1, _ALL if op(x, y) else _NONE, exc)
         mod = math.lcm(self.modulus, other.modulus)
         res = frozenset(r for r in range(mod) if op(self._base(r), other._base(r)))
         touched = {a for a, _ in self.exceptions} | {a for a, _ in other.exceptions}
@@ -197,9 +217,25 @@ class NameSet:
 
     @classmethod
     def from_json(cls, data: dict) -> NameSet:
-        exc = [(a, True) for a in data.get("add", [])]
-        exc += [(a, False) for a in data.get("remove", [])]
-        return cls(data.get("mod", 1), frozenset(data.get("res", [])), tuple(exc))
+        """Decode to_json output; raises ValueError on a non-natural index or
+        a modulus outside 1..MAX_JSON_MODULUS."""
+        mod = data.get("mod", 1)
+        if not (_is_natural(mod) and 1 <= mod <= MAX_JSON_MODULUS):
+            raise ValueError(f"mod must be an integer in 1..{MAX_JSON_MODULUS}, got {mod!r}")
+        res, add, remove = (list(data.get(key, [])) for key in ("res", "add", "remove"))
+        if not all(map(_is_natural, res + add + remove)):
+            raise ValueError("residues and atom indices must be natural numbers")
+        exc = [(a, True) for a in add] + [(a, False) for a in remove]
+        return cls(mod, frozenset(res), tuple(exc))
+
+
+# Bounds the moduli a name-set file may carry: combining two periodic sets
+# scans the lcm of their moduli, and minimising a modulus is quadratic in it.
+MAX_JSON_MODULUS = 64
+
+
+def _is_natural(x) -> bool:
+    return type(x) is int and x >= 0
 
 
 def union_all(*sets: NameSet) -> NameSet:
@@ -215,7 +251,7 @@ def supp_of_set(s: NameSet) -> NameSet:
 
 def fresh(avoid: NameSet) -> Atom:
     """The least atom not in avoid."""
-    rest = avoid.complement()
-    if rest.is_empty():
+    found = avoid.least_outside(1)
+    if not found:
         raise AllNamesAvoided("every atom is avoided")
-    return rest.enumerate(1)[0]
+    return found[0]

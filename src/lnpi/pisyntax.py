@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .atoms import Atom, Permutation
-from .namesets import NameSet, union_all
+from .namesets import NameSet
 from .permtypes import IndexedFamily
 
 
@@ -183,18 +183,6 @@ def term_lc_at(i: int, t: Term) -> bool:
     raise TypeError(f"not a term: {t!r}")
 
 
-def _binder_witnesses(body: Term, extra: int) -> list[Atom]:
-    # One fresh witness plus `extra` more, all outside the body's support.
-    avoid = free_names(body)
-    out: list[Atom] = []
-    n = 0
-    while len(out) < 1 + extra:
-        if not avoid.member(Atom(n)):
-            out.append(Atom(n))
-        n += 1
-    return out
-
-
 def term_lc(t: Term, extra: int = 3) -> bool:
     """Local closure by the inductive definition: every binder body must be
     locally closed once opened with any sufficiently fresh atom."""
@@ -205,14 +193,18 @@ def term_lc(t: Term, extra: int = 3) -> bool:
             return all(term_lc(e, extra) for e in f.parts())
         case Inp(c, b):
             return isinstance(c, Free) and all(
-                term_lc(term_open_at(0, w, b), extra) for w in _binder_witnesses(b, extra)
+                term_lc(term_open_at(0, w, b), extra)
+                for w in free_names(b).least_outside(1 + extra)
             )
         case Out(c, m, k):
             return isinstance(c, Free) and isinstance(m, Free) and term_lc(k, extra)
         case Par(l, r):
             return term_lc(l, extra) and term_lc(r, extra)
         case Res(b):
-            return all(term_lc(term_open_at(0, w, b), extra) for w in _binder_witnesses(b, extra))
+            return all(
+                term_lc(term_open_at(0, w, b), extra)
+                for w in free_names(b).least_outside(1 + extra)
+            )
         case Rep(b):
             return term_lc(b, extra)
     raise TypeError(f"not a term: {t!r}")
@@ -239,20 +231,7 @@ def term_perm(p: Permutation, t: Term) -> Term:
 
 def free_names(t: Term) -> NameSet:
     """The support of a term: its free atoms (always a finite set)."""
-    match t:
-        case Nil():
-            return NameSet.empty()
-        case Sum(f):
-            return union_all(*(free_names(e) for e in f.parts()))
-        case Inp(c, b):
-            return c.support().union(free_names(b))
-        case Out(c, m, k):
-            return union_all(c.support(), m.support(), free_names(k))
-        case Par(l, r):
-            return free_names(l).union(free_names(r))
-        case Res(b) | Rep(b):
-            return free_names(b)
-    raise TypeError(f"not a term: {t!r}")
+    return NameSet.finite(term_atom_list(t))
 
 
 def term_atom_list(t: Term) -> list[Atom]:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from lnpi.cli import main
 
 SERVER = "*( new n. c?(x). x!n. 0 )"
@@ -86,6 +88,15 @@ def test_step_json_output_is_deterministic(capsys) -> None:
     assert [t["action"]["tag"] for t in data["transitions"]] == ["in", "in"]
 
 
+@pytest.mark.parametrize("command", ["step", "trace"])
+def test_negative_fuel_is_rejected_by_the_argument_parser(capsys, tmp_path, command) -> None:
+    extra = [write_actions(tmp_path, ["c!c"])] if command == "trace" else []
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "-e", "c", "--fuel", "-1", "*(c!c.0)", *extra])
+    assert exit_info.value.code == 2
+    assert "argument --fuel: must be a natural number, got '-1'" in capsys.readouterr().err
+
+
 # ------------- derivation files and check-deriv -------------
 
 
@@ -119,6 +130,25 @@ def test_check_deriv_rejects_a_wrong_shape_file(capsys, tmp_path) -> None:
     code, _, err = run(capsys, "check-deriv", str(wrong))
     assert code == 1
     assert err == f"syntax error: {wrong} is not a derivation file (at position 0)\n"
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda env: env["add"].append(-1),  # a negative atom index
+        lambda env: env.update(mod=100_000_000, res=[0]),  # a modulus past the bound
+    ],
+    ids=["negative-index", "huge-modulus"],
+)
+def test_check_deriv_rejects_a_bad_name_set(capsys, tmp_path, corrupt) -> None:
+    deriv = tmp_path / "derivs.json"
+    run(capsys, "step", "-e", "n", "new c. n!c. 0", "--deriv", str(deriv))
+    data = json.loads(deriv.read_text())
+    corrupt(data[0]["conclusion"]["src"]["env"])
+    deriv.write_text(json.dumps(data))
+    code, _, err = run(capsys, "check-deriv", str(deriv))
+    assert code == 1
+    assert err == f"syntax error: {deriv} is not a derivation file (at position 0)\n"
 
 
 # ------------- trace and rename -------------
@@ -186,6 +216,37 @@ def test_rename_rejects_a_non_trace_file(capsys, tmp_path) -> None:
     code, _, err = run(capsys, "rename", str(deriv), "n1", "m")
     assert code == 1
     assert err == f"syntax error: {deriv} is not a trace file (at position 0)\n"
+
+
+@pytest.mark.parametrize(
+    "start_env",
+    [
+        {"mod": 1, "res": [], "add": [0, -3], "remove": []},  # a negative atom index
+        {"mod": 100_000_000, "res": [0], "add": [], "remove": []},  # a modulus past the bound
+        {"mod": 2, "res": [0], "add": [], "remove": []},  # the even atoms: not finite
+    ],
+    ids=["negative-index", "huge-modulus", "periodic"],
+)
+def test_rename_rejects_a_bad_start_environment(capsys, tmp_path, start_env) -> None:
+    acts = write_actions(tmp_path, ["c?y1"])
+    trace_file = tmp_path / "trace.json"
+    run(capsys, "trace", "-e", "c", "--fuel", "2", SERVER, acts, "--deriv", str(trace_file))
+    data = json.loads(trace_file.read_text())
+    data["start"]["env"] = start_env
+    trace_file.write_text(json.dumps(data))
+    code, _, err = run(capsys, "rename", str(trace_file), "n1", "m")
+    assert code == 1
+    assert err == f"syntax error: {trace_file} is not a trace file (at position 0)\n"
+
+
+def test_trace_and_rename_write_the_json_they_print(capsys, tmp_path) -> None:
+    acts = write_actions(tmp_path, ["c?y1", "(n1)y1!n1"])
+    traced, renamed = tmp_path / "trace.json", tmp_path / "renamed.json"
+    _, out, _ = run(capsys, "trace", "-e", "c", "--fuel", "2", SERVER, acts,
+                    "--deriv", str(traced), "--json")
+    assert traced.read_text() + "\n" == out
+    _, out, _ = run(capsys, "rename", str(traced), "n1", "m", "--deriv", str(renamed), "--json")
+    assert renamed.read_text() + "\n" == out
 
 
 # ------------- perm -------------

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from lnpi import lts, props
 from lnpi.atoms import Atom, swap
 from lnpi.gen import rand_config
 from lnpi.lts import (
@@ -31,6 +32,7 @@ from lnpi.lts import (
     weaken,
 )
 from lnpi.namesets import NameSet
+from lnpi.parsing import parse
 from lnpi.permtypes import IndexedFamily, is_fresh
 from lnpi.pisyntax import Bound, Free, Inp, Nil, Out, Par, Rep, Res, Sum, free_names
 
@@ -224,6 +226,87 @@ def test_step_is_deterministic() -> None:
         assert r1 == r2
 
 
+def test_negative_fuel_is_rejected() -> None:
+    cfg = Config(fin(0), Rep(Out(F(0), F(0), Nil())))
+    with pytest.raises(ValueError):
+        step(cfg, -1)
+    with pytest.raises(ValueError):
+        replay(cfg, [], fuel=-1)
+
+
+# ------------- the memo table -------------
+
+
+class NeverStores(dict):
+    """A memo table that forgets everything: every _derivs call recomputes."""
+
+    def __setitem__(self, key, value) -> None:
+        pass
+
+
+def parsed_config(env: str, text: str) -> Config:
+    symtab = {ident: Atom(i) for i, ident in enumerate(env.split())}
+    proc, _ = parse(text, dict(symtab))
+    return Config(NameSet.finite(symtab.values()), proc)
+
+
+ROADMAP_PROCESS = parsed_config("c", "*(new n. c!n.0) | *(c?(x). x!x.0)")
+SERVER = parsed_config("c", "*( new n. c?(x). x!n. 0 )")
+README_CONFIGS = [
+    (parsed_config("", "new a. a!a. 0 | 0"), 8),
+    (parsed_config("", "n!m.0"), 8),
+    (parsed_config("n", "new c. n!c. 0"), 8),
+    *((SERVER, fuel) for fuel in range(1, 6)),
+]
+
+
+def lts_lemmas_configs(monkeypatch) -> list[tuple[Config, int]]:
+    """Every (configuration, fuel) the lts-lemmas suite steps at one seed."""
+    seen = []
+
+    def recording_step(cfg, fuel=8):
+        seen.append((cfg, fuel))
+        return step(cfg, fuel)
+
+    with monkeypatch.context() as m:
+        m.setattr(props, "step", recording_step)
+        assert props.lts_lemmas(25, 42).ok
+    return seen
+
+
+# The same input prefix stepped twice: beside the restriction, and under it,
+# where the restriction's witness joins the avoid set and so changes the
+# input's fresh representative.  A memo key without the avoid set fails here.
+SHADOWED = parsed_config("c", "c?(x).0 | new n. (n!n.0 | c?(x).0)")
+
+
+def test_memo_table_changes_no_step_result(monkeypatch) -> None:
+    corpus = lts_lemmas_configs(monkeypatch) + README_CONFIGS + [(SHADOWED, 1)]
+    corpus += [(ROADMAP_PROCESS, fuel) for fuel in range(1, 8)]
+    assert len(corpus) > 80
+    for cfg, fuel in corpus:
+        assert lts._step(cfg, fuel, NeverStores()) == step(cfg, fuel), (cfg, fuel)
+
+
+def test_replay_shares_its_memo_table_without_changing_the_trace(monkeypatch) -> None:
+    requests = [  # README's request/response, the acceptance gate's two rounds
+        [Input(a[0], a[5]), BoundOutput(a[5], a[6])],
+        [Input(a[0], a[1]), BoundOutput(a[1], a[2]), Input(a[0], a[3]), BoundOutput(a[3], a[4])],
+    ]
+    shared = [replay(SERVER, acts, fuel) for acts in requests for fuel in (1, 2, 3)]
+    plain = lts._step
+    monkeypatch.setattr(lts, "_step", lambda cfg, fuel, memo: plain(cfg, fuel, NeverStores()))
+    assert [replay(SERVER, acts, fuel) for acts in requests for fuel in (1, 2, 3)] == shared
+
+
+def test_memo_holds_one_entry_per_distinct_subproblem() -> None:
+    # ROADMAP: 3263 _derivs calls at fuel 5 share 107 distinct argument tuples.
+    memo: dict = {}
+    result = lts._step(ROADMAP_PROCESS, 5, memo)
+    assert len(memo) == 107
+    assert len(result.results) == 40
+
+
 # ------------- canonical fresh witnesses -------------
 
 
@@ -303,6 +386,18 @@ def test_checker_rejects_witness_inside_the_avoid_set() -> None:
     with pytest.raises(CheckError) as err:
         check(bad)
     assert err.value.reason == "WitnessInL"
+
+
+def test_checker_rejects_an_infinite_avoid_set() -> None:
+    # An avoid set that covers every atom but the witness leaves no fresh
+    # atom to re-derive at; the checker must reject it, not search forever.
+    _, d = only(step(Config(fin(0), Res(Out(F(0), F(0), Nil())))))
+    assert d.rule == "Res"
+    w = d.cofinite.witness
+    bad = Derivation(d.rule, d.conclusion, d.premises, Cofinite(NameSet.cofinite([w]), w), d.side)
+    with pytest.raises(CheckError) as err:
+        check(bad, extra_witnesses=2)
+    assert err.value.reason == "RuleShape"
 
 
 def test_checker_rejects_extruded_name_already_known() -> None:

@@ -4,6 +4,7 @@ import pytest
 
 from lnpi.atoms import Atom, swap
 from lnpi.namesets import (
+    MAX_JSON_MODULUS,
     AllNamesAvoided,
     Exhausted,
     NameSet,
@@ -91,6 +92,14 @@ def test_finite_cofinite_periodic_classification() -> None:
 def test_enumerate_yields_least_members_first() -> None:
     assert ODD.enumerate(3) == [a[1], a[3], a[5]]
     assert NameSet.finite([a[7], a[2]]).enumerate(5) == [a[2], a[7]]
+    assert NameSet.cofinite([a[0], a[2]]).enumerate(3) == [a[1], a[3], a[4]]
+
+
+def test_least_outside_yields_least_non_members_first() -> None:
+    assert NameSet.finite([a[0], a[2]]).least_outside(3) == [a[1], a[3], a[4]]
+    assert NameSet.cofinite([a[7], a[2]]).least_outside(5) == [a[2], a[7]]
+    assert ODD.union(NameSet.finite([a[0]])).least_outside(2) == [a[2], a[4]]
+    assert NameSet.all_atoms().least_outside(1) == []
 
 
 def test_atoms_requires_a_finite_set() -> None:
@@ -173,6 +182,43 @@ def test_boolean_ops_agree_with_pointwise_membership() -> None:
         assert members_upto(s.complement(), upto) == set(range(upto)) - members_upto(s, upto)
 
 
+def _mod2(s: NameSet) -> NameSet:
+    """A finite or cofinite s, built again with modulus 2: the general path."""
+    return NameSet(2, frozenset({0, 1}) if s.residues else frozenset(), s.exceptions)
+
+
+def _pointwise(s: NameSet, t: NameSet, op, upto: int = 16) -> NameSet:
+    # Membership op(i in s, i in t) at every i, built with modulus 2.
+    base = frozenset({0, 1}) if op(s.member(Atom(upto)), t.member(Atom(upto))) else frozenset()
+    exc = tuple((i, op(s.member(Atom(i)), t.member(Atom(i)))) for i in range(upto))
+    return NameSet(2, base, exc)
+
+
+def test_finite_fast_path_matches_the_general_path() -> None:
+    # Finite and cofinite sets (modulus 1) skip the residue algebra; their
+    # results must equal the same sets built through it.
+    rng = random.Random(5)
+
+    def rand_set() -> NameSet:
+        atoms = [Atom(rng.randrange(12)) for _ in range(rng.randrange(5))]
+        return NameSet.finite(atoms) if rng.random() < 0.5 else NameSet.cofinite(atoms)
+
+    for _ in range(300):
+        s, t = rand_set(), rand_set()
+        assert s.modulus == 1 and _mod2(s) == s
+        assert s.union(t) == _pointwise(s, t, lambda x, y: x or y)
+        assert s.inter(t) == _pointwise(s, t, lambda x, y: x and y)
+        assert s.difference(t) == _pointwise(s, t, lambda x, y: x and not y)
+        assert s.complement() == _pointwise(s, s, lambda x, _: not x)
+        outside = [Atom(i) for i in range(20) if not _mod2(s).member(Atom(i))]
+        assert s.least_outside(3) == outside[:3]
+        if outside:
+            assert fresh(s) == outside[0]
+        else:
+            with pytest.raises(AllNamesAvoided):
+                fresh(s)
+
+
 # ------------- permutation action -------------
 
 
@@ -232,6 +278,33 @@ def test_json_round_trip_small_examples() -> None:
         ODD.union(NameSet.finite([a[0]])).difference(NameSet.finite([a[3]])),
     ):
         assert NameSet.from_json(s.to_json()) == s
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"mod": 1, "res": [], "add": [-1], "remove": []},
+        {"mod": 1, "res": [0], "add": [], "remove": [2, -5]},
+        {"mod": 2, "res": [-1], "add": [], "remove": []},
+        {"mod": 1, "res": [], "add": ["3"], "remove": []},
+        {"mod": 1, "res": [], "add": [True], "remove": []},
+        {"mod": 1, "res": [], "add": [1.5], "remove": []},
+    ],
+)
+def test_json_rejects_non_natural_indices(data) -> None:
+    with pytest.raises(ValueError):
+        NameSet.from_json(data)
+
+
+@pytest.mark.parametrize("mod", [0, -2, MAX_JSON_MODULUS + 1, 100_000_000, 2.0, True])
+def test_json_rejects_a_modulus_outside_the_bound(mod) -> None:
+    with pytest.raises(ValueError):
+        NameSet.from_json({"mod": mod, "res": [0], "add": [], "remove": []})
+
+
+def test_json_accepts_the_largest_modulus() -> None:
+    s = NameSet.from_json({"mod": MAX_JSON_MODULUS, "res": [1], "add": [], "remove": []})
+    assert s.modulus == MAX_JSON_MODULUS and s.member(Atom(MAX_JSON_MODULUS + 1))
 
 
 def test_json_shape_splits_exceptions_by_sign() -> None:
