@@ -12,9 +12,11 @@ them at extra fresh witnesses as equivariance evidence.
 The enumerator ``_derivs`` is a pure function of (environment, process,
 fuel, avoid set), and replication makes it meet the same arguments many
 times over.  It therefore looks each argument tuple up in a memo table,
-a plain dict passed down explicitly: ``step`` creates one per call and
-``replay`` shares one across its steps.  No table outlives the call that
-made it, so importing the module keeps no cache state.
+a plain dict passed down explicitly that ``step`` creates per call.
+``replay`` steps through ``step`` and so takes a new table per step: each
+visible action widens the environment, which is part of every key, so a
+later step would find little of an earlier one's table.  No table outlives
+the call that made it, so importing the module keeps no cache state.
 """
 
 from __future__ import annotations
@@ -344,7 +346,7 @@ def step(cfg: Config, fuel: int = 8) -> StepResult:
 
 
 def _step(cfg: Config, fuel: int, memo: dict) -> StepResult:
-    """step() with a caller-owned memo table for _derivs."""
+    """step() with a caller-supplied memo table for _derivs."""
     if not cfg.env.is_finite():
         raise IllFormedConfig("environment must be a finite set")
     if not term_lc_at(0, cfg.proc):
@@ -368,8 +370,8 @@ def _derivs(
     env: NameSet, proc: Term, fuel: int, avoid: NameSet, *, memo: dict
 ) -> tuple[list[Derivation], bool]:
     # A pure function of its four arguments, so each is derived once per memo
-    # table.  The table is keyword-only: perfbench's tracer hashes the
-    # positional arguments to count distinct calls.
+    # table.  The positional arguments are exactly the key; the table is
+    # keyword-only to keep it apart from them at every call site.
     key = (env, proc, fuel, avoid)
     found = memo.get(key)
     if found is not None:
@@ -880,9 +882,8 @@ def replay(start: Config, actions: list[Action], fuel: int = 8) -> Trace:
         raise ValueError(f"fuel must be a natural number, got {fuel}")
     cfg = start
     steps: list[TraceStep] = []
-    memo: dict = {}  # shared: a step often re-derives the previous step's subterms
     for idx, want in enumerate(actions):
-        result = _step(cfg, fuel, memo)
+        result = step(cfg, fuel)
         cands = [(t, dv) for t, dv in result.results if t.action == want]
         if not cands and isinstance(want, (Input, BoundOutput)):
             base = cfg.support()

@@ -288,17 +288,6 @@ def test_memo_table_changes_no_step_result(monkeypatch) -> None:
         assert lts._step(cfg, fuel, NeverStores()) == step(cfg, fuel), (cfg, fuel)
 
 
-def test_replay_shares_its_memo_table_without_changing_the_trace(monkeypatch) -> None:
-    requests = [  # README's request/response, the acceptance gate's two rounds
-        [Input(a[0], a[5]), BoundOutput(a[5], a[6])],
-        [Input(a[0], a[1]), BoundOutput(a[1], a[2]), Input(a[0], a[3]), BoundOutput(a[3], a[4])],
-    ]
-    shared = [replay(SERVER, acts, fuel) for acts in requests for fuel in (1, 2, 3)]
-    plain = lts._step
-    monkeypatch.setattr(lts, "_step", lambda cfg, fuel, memo: plain(cfg, fuel, NeverStores()))
-    assert [replay(SERVER, acts, fuel) for acts in requests for fuel in (1, 2, 3)] == shared
-
-
 def test_memo_holds_one_entry_per_distinct_subproblem() -> None:
     # ROADMAP: 3263 _derivs calls at fuel 5 share 107 distinct argument tuples.
     memo: dict = {}
