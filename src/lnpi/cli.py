@@ -35,7 +35,7 @@ from .lts import (
     step,
 )
 from .namesets import NameSet
-from .parsing import ParseError, parse, print_term, render_atom, render_nameset
+from .parsing import ParseError, intern, parse, print_term, render_atom, render_nameset
 from .pisyntax import free_names, term_lc
 from .props import SUITES, run_suite
 
@@ -50,16 +50,6 @@ _ACTION = re.compile(
 )
 
 
-def _intern(symtab: Symtab, ident: str, reserved: set[int] = frozenset()) -> Atom:
-    if ident not in symtab:
-        taken = {a.index for a in symtab.values()} | set(reserved)
-        n = 0
-        while n in taken:
-            n += 1
-        symtab[ident] = Atom(n)
-    return symtab[ident]
-
-
 def _session(args) -> tuple[Config, Symtab]:
     symtab: Symtab = {}
     env_atoms = []
@@ -67,7 +57,7 @@ def _session(args) -> tuple[Config, Symtab]:
         for ident in chunk.split(","):
             ident = ident.strip()
             if ident:
-                env_atoms.append(_intern(symtab, ident))
+                env_atoms.append(intern(symtab, ident))
     proc, symtab = parse(args.process, symtab)
     return Config(NameSet.finite(env_atoms), proc), symtab
 
@@ -81,10 +71,10 @@ def _parse_action(text: str, symtab: Symtab) -> Action:
     if m.group("bn"):
         if m.group("bn") != m.group("bm"):
             raise ParseError(f"bound output must emit its own name: {text!r}", 0)
-        return BoundOutput(_intern(symtab, m.group("bc")), _intern(symtab, m.group("bn")))
+        return BoundOutput(intern(symtab, m.group("bc")), intern(symtab, m.group("bn")))
     if m.group("ic"):
-        return Input(_intern(symtab, m.group("ic")), _intern(symtab, m.group("inm")))
-    return Output(_intern(symtab, m.group("oc")), _intern(symtab, m.group("onm")))
+        return Input(intern(symtab, m.group("ic")), intern(symtab, m.group("inm")))
+    return Output(intern(symtab, m.group("oc")), intern(symtab, m.group("onm")))
 
 
 def _action_str(a: Action, symtab: Symtab) -> str:
@@ -197,11 +187,11 @@ def cmd_rename(args) -> int:
     try:
         symtab = _names_from_json(data.get("names", {}))
         trace = Trace.from_json(data)
-        reserved = {a.index for a in trace.start.support().atoms()}  # a non-finite start raises
+        reserved = trace.start.support().atoms()  # a non-finite start raises
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise ParseError(f"{args.trace} is not a trace file", 0) from e
-    n = _intern(symtab, args.old, reserved)
-    m = _intern(symtab, args.new, reserved)
+    n = intern(symtab, args.old, reserved)
+    m = intern(symtab, args.new, reserved)
     try:
         renamed = rename_trace(trace, n, m, args.witnesses)
     except NotFreshAtStart:
@@ -237,7 +227,7 @@ def cmd_perm(args) -> int:
         idents = group.replace(",", " ").split()
         if len(idents) < 2:
             raise ParseError(f"a cycle needs at least two names: ({group})", 0)
-        cycles.append([_intern(symtab, i).index for i in idents])
+        cycles.append([intern(symtab, i).index for i in idents])
     p = Permutation.from_cycles(cycles)
     moved = cfg.proc.perm_apply(p)
     if args.json:
@@ -334,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("trace", help="trace JSON written by the trace command")
     sp.add_argument("old", help="name to rename (must be fresh for the start)")
     sp.add_argument("new", help="replacement name (must be fresh for the start)")
-    sp.add_argument("--witnesses", type=int, default=2, help="extra fresh witnesses per re-check")
+    sp.add_argument("--witnesses", type=_natural, default=2, help="extra fresh witnesses per re-check")
     sp.add_argument("--deriv", metavar="FILE", help="write the renamed trace as JSON")
     sp.add_argument("--json", action="store_true", help="machine-readable output")
     sp.set_defaults(fn=cmd_rename)
@@ -346,12 +336,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check-deriv", help="validate a derivation file")
     sp.add_argument("file", help="derivation JSON (one object or a list)")
-    sp.add_argument("--witnesses", type=int, default=2, help="extra fresh witnesses per cofinite node")
+    sp.add_argument("--witnesses", type=_natural, default=2, help="extra fresh witnesses per cofinite node")
     sp.set_defaults(fn=cmd_check_deriv)
 
     sp = sub.add_parser("selftest", help="run a built-in property suite")
     sp.add_argument("suite", choices=sorted(SUITES), help="which suite to run")
-    sp.add_argument("cases", type=int, nargs="?", default=200, help="random cases (default 200)")
+    sp.add_argument("cases", type=_natural, nargs="?", default=200, help="random cases (default 200)")
     sp.add_argument("seed_pos", type=int, nargs="?", default=0, metavar="seed", help="RNG seed")
     sp.add_argument("--seed", type=int, default=None, help="RNG seed (overrides the positional)")
     sp.set_defaults(fn=cmd_selftest)

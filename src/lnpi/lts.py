@@ -433,84 +433,54 @@ def _derivs(
 
 def _par_derivs(env, proc, left, right, fuel, avoid, memo):
     src = Config(env, proc)
-    fn_l, fn_r = free_names(left), free_names(right)
-    out: list[Derivation] = []
-
-    left_plain, c1 = _derivs(env, left, fuel, avoid.union(fn_r), memo=memo)
-    for d in left_plain:
-        t = d.conclusion
-        dst = Config(t.dst.env, Par(t.dst.proc, right))
-        out.append(Derivation("Par-L", Transition(src, t.action, dst), (d,)))
-    right_plain, c2 = _derivs(env, right, fuel, avoid.union(fn_l), memo=memo)
-    for d in right_plain:
-        t = d.conclusion
-        dst = Config(t.dst.env, Par(left, t.dst.proc))
-        out.append(Derivation("Par-R", Transition(src, t.action, dst), (d,)))
-
+    parts = (left, right)
+    fns = (free_names(left), free_names(right))
     # Communication premises run with the sibling's free names added to the
     # environment: each component is the other's observer.
-    env_l = env.union(fn_r)
-    env_r = env.union(fn_l)
-    left_comm, c3 = _derivs(env_l, left, fuel, avoid.union(fn_r), memo=memo)
-    right_comm, c4 = _derivs(env_r, right, fuel, avoid.union(fn_l), memo=memo)
-    complete = c1 and c2 and c3 and c4
+    comm_env = (env.union(fns[1]), env.union(fns[0]))
+    plain = [_derivs(env, parts[k], fuel, avoid.union(fns[1 - k]), memo=memo) for k in (0, 1)]
+    comm = [_derivs(comm_env[k], parts[k], fuel, avoid.union(fns[1 - k]), memo=memo) for k in (0, 1)]
+    complete = all(ok for _, ok in plain + comm)
+    close_avoid = union_all(env, fns[0], fns[1], avoid)
+    pars: list[Derivation] = []
+    comms: list[Derivation] = []
+    closes: list[Derivation] = []
+    # Side k is the one that moves (Par) or sends (Comm, Close); premises
+    # and components are always listed left, then right.
+    for k, side in enumerate("LR"):
+        other = parts[1 - k]
 
-    outs_l = [d for d in left_comm if isinstance(d.conclusion.action, Output)]
-    outs_r = [d for d in right_comm if isinstance(d.conclusion.action, Output)]
-    ins_l = [d for d in left_comm if isinstance(d.conclusion.action, Input)]
-    ins_r = [d for d in right_comm if isinstance(d.conclusion.action, Input)]
-    bouts_l = [d for d in left_comm if isinstance(d.conclusion.action, BoundOutput)]
-    bouts_r = [d for d in right_comm if isinstance(d.conclusion.action, BoundOutput)]
+        def placed(mine, theirs):
+            return (mine, theirs) if k == 0 else (theirs, mine)
 
-    for do in outs_l:
-        for di in ins_r:
-            if do.conclusion.action.chan == di.conclusion.action.chan and (
-                do.conclusion.action.name == di.conclusion.action.name
-            ):
-                dst = Config(env, Par(do.conclusion.dst.proc, di.conclusion.dst.proc))
-                out.append(Derivation("Comm-L", Transition(src, Tau(), dst), (do, di)))
-    for do in outs_r:
-        for di in ins_l:
-            if do.conclusion.action.chan == di.conclusion.action.chan and (
-                do.conclusion.action.name == di.conclusion.action.name
-            ):
-                dst = Config(env, Par(di.conclusion.dst.proc, do.conclusion.dst.proc))
-                out.append(Derivation("Comm-R", Transition(src, Tau(), dst), (di, do)))
-
-    close_avoid = union_all(env, fn_l, fn_r, avoid)
-    for do in bouts_l:
-        a = do.conclusion.action
-        inner, ok = _derivs(env_r.union(NameSet.finite([a.name])), right, fuel,
-                            union_all(avoid, fn_l, NameSet.finite([a.name])), memo=memo)
-        complete = complete and ok
-        for di in inner:
-            if di.conclusion.action == Input(a.chan, a.name):
-                q = Par(
-                    do.conclusion.dst.proc.close_at(0, a.name),
-                    di.conclusion.dst.proc.close_at(0, a.name),
-                )
-                dst = Config(env, Res(q))
-                out.append(
-                    Derivation("Close-L", Transition(src, Tau(), dst), (do, di),
-                               Cofinite(close_avoid, a.name))
-                )
-    for do in bouts_r:
-        a = do.conclusion.action
-        inner, ok = _derivs(env_l.union(NameSet.finite([a.name])), left, fuel,
-                            union_all(avoid, fn_r, NameSet.finite([a.name])), memo=memo)
-        complete = complete and ok
-        for di in inner:
-            if di.conclusion.action == Input(a.chan, a.name):
-                q = Par(
-                    di.conclusion.dst.proc.close_at(0, a.name),
-                    do.conclusion.dst.proc.close_at(0, a.name),
-                )
-                dst = Config(env, Res(q))
-                out.append(
-                    Derivation("Close-R", Transition(src, Tau(), dst), (di, do),
-                               Cofinite(close_avoid, a.name))
-                )
-    return out, complete
+        for d in plain[k][0]:
+            t = d.conclusion
+            dst = Config(t.dst.env, Par(*placed(t.dst.proc, other)))
+            pars.append(Derivation("Par-" + side, Transition(src, t.action, dst), (d,)))
+        for do in comm[k][0]:
+            a = do.conclusion.action
+            if isinstance(a, Output):
+                receivers = comm[1 - k][0]
+            elif isinstance(a, BoundOutput):
+                w = NameSet.finite([a.name])
+                receivers, ok = _derivs(comm_env[1 - k].union(w), other, fuel,
+                                        union_all(avoid, fns[k], w), memo=memo)
+                complete = complete and ok
+            else:
+                continue
+            want = Input(a.chan, a.name)
+            for di in receivers:
+                if di.conclusion.action != want:
+                    continue
+                procs = placed(do.conclusion.dst.proc, di.conclusion.dst.proc)
+                if isinstance(a, Output):
+                    dst = Config(env, Par(*procs))
+                    comms.append(Derivation("Comm-" + side, Transition(src, Tau(), dst), placed(do, di)))
+                else:
+                    dst = Config(env, Res(Par(*(q.close_at(0, a.name) for q in procs))))
+                    closes.append(Derivation("Close-" + side, Transition(src, Tau(), dst),
+                                             placed(do, di), Cofinite(close_avoid, a.name)))
+    return pars + comms + closes, complete
 
 
 def _res_derivs(env, proc, body, fuel, avoid, memo):
@@ -551,8 +521,14 @@ def _visible_fresh(t: Transition, base: NameSet) -> list[Atom]:
     return seen
 
 
-def _renaming(sources: list[Atom], targets: list[Atom]) -> Permutation:
-    pairs = {s.index: t.index for s, t in zip(sources, targets)}
+def _renaming(t: Transition, base: NameSet) -> Permutation | None:
+    """The permutation taking the fresh atoms visible in t, in order of
+    appearance, to the least atoms outside base; None if they already are."""
+    sources = _visible_fresh(t, base)
+    targets = base.least_outside(len(sources))
+    if sources == targets:
+        return None
+    pairs = {x.index: y.index for x, y in zip(sources, targets)}
     extra_src = sorted(set(pairs) - set(pairs.values()))
     extra_tgt = sorted(set(pairs.values()) - set(pairs))
     # Complete the injection to a bijection on its carrier.
@@ -562,22 +538,14 @@ def _renaming(sources: list[Atom], targets: list[Atom]) -> Permutation:
 
 def normalize_transition(t: Transition) -> Transition:
     """Rename the fresh atoms visible in the conclusion to least-fresh order."""
-    base = t.src.support()
-    sources = _visible_fresh(t, base)
-    if not sources:
-        return t
-    targets = base.least_outside(len(sources))
-    if sources == targets:
-        return t
-    return t.perm_apply(_renaming(sources, targets))
+    p = _renaming(t, t.src.support())
+    return t if p is None else t.perm_apply(p)
 
 
 def _canonicalize(d: Derivation, base: NameSet) -> tuple[Transition, Derivation]:
-    sources = _visible_fresh(d.conclusion, base)
-    if sources:
-        targets = base.least_outside(len(sources))
-        if sources != targets:
-            d = d.perm_apply(_renaming(sources, targets))
+    p = _renaming(d.conclusion, base)
+    if p is not None:
+        d = d.perm_apply(p)
     return d.conclusion, d
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import count, filterfalse, islice
 from typing import Iterable
 
 from .atoms import Atom, Permutation
@@ -130,13 +131,7 @@ class NameSet:
             inside = {a for a, _ in self.exceptions}.__contains__
         else:  # genuinely periodic: the complement is infinite, so the scan ends
             inside = self._member_index
-        out: list[Atom] = []
-        n = 0
-        while len(out) < k:
-            if not inside(n):
-                out.append(Atom(n))
-            n += 1
-        return out
+        return [Atom(n) for n in islice(filterfalse(inside, count()), k)]
 
     def atoms(self) -> tuple[Atom, ...]:
         """All members of a finite set, ascending."""

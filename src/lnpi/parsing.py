@@ -14,6 +14,7 @@ the body's free atoms and their display names.
 from __future__ import annotations
 
 import re
+from typing import Iterable
 
 from .atoms import Atom
 from .namesets import NameSet
@@ -69,6 +70,14 @@ def tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def intern(symtab: dict[str, Atom], ident: str, reserved: Iterable[Atom] = ()) -> Atom:
+    """The atom of ident; a new identifier gets the least atom that is
+    neither in symtab nor reserved, and is added to symtab."""
+    if ident not in symtab:
+        symtab[ident] = NameSet.finite([*symtab.values(), *reserved]).least_outside(1)[0]
+    return symtab[ident]
+
+
 class _Parser:
     def __init__(self, text: str, symtab: dict[str, Atom]):
         self.tokens = tokenize(text)
@@ -95,20 +104,11 @@ class _Parser:
             raise ParseError(f"expected an identifier, found {got or 'end of input'!r}", at)
         return got
 
-    def intern(self, ident: str) -> Atom:
-        if ident not in self.symtab:
-            taken = {a.index for a in self.symtab.values()}
-            n = 0
-            while n in taken:
-                n += 1
-            self.symtab[ident] = Atom(n)
-        return self.symtab[ident]
-
     def resolve(self, ident: str) -> Name:
         for depth, binder in enumerate(reversed(self.bound)):
             if binder == ident:
                 return Bound(depth)
-        return Free(self.intern(ident))
+        return Free(intern(self.symtab, ident))
 
     def proc(self) -> Term:
         t = self.prefix()

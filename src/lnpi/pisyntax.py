@@ -4,14 +4,24 @@ Bound occurrences are de Bruijn indices counting enclosing binders
 (input prefix and restriction each bind one level), free occurrences are
 atoms.  Alpha-equivalence is therefore plain structural equality.
 
-Two local-closure deciders are exposed: ``term_lc_at`` counts binder
-depth directly, ``term_lc`` follows the inductive definition, opening
-each binder body with fresh witnesses.  They agree (tested property).
+Only ``Inp`` and ``Res`` shift the level, and that rule lives in two
+traversals (the generic scheme of Charguéraud, *The Locally Nameless
+Representation*, JAR 2012): ``map_names`` rebuilds a term with each name
+replaced by a function of the name and its level, and ``name_levels``
+lists the names with their levels in preorder.  Opening, closing, the
+permutation action, ``term_lc_at`` and the free atoms are one line each
+over these two, with the per-name cases as methods of ``Free``/``Bound``.
+
+Two local-closure deciders are exposed: ``term_lc_at`` compares each
+bound index with its level, ``term_lc`` follows the inductive definition,
+opening each binder body with fresh witnesses.  They agree (tested
+property).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .atoms import Atom, Permutation
 from .namesets import NameSet
@@ -19,49 +29,66 @@ from .permtypes import IndexedFamily
 
 
 class Name:
-    def open_at(self, i: int, x: Atom) -> Name:
-        if isinstance(self, Bound) and self.level == i:
-            return Free(x)
-        return self
-
-    def close_at(self, i: int, x: Atom) -> Name:
-        if isinstance(self, Free) and self.atom == x:
-            return Bound(i)
-        return self
-
-    def lc_at(self, i: int) -> bool:
-        return isinstance(self, Free) or self.level < i
-
-    def perm_apply(self, p: Permutation) -> Name:
-        if isinstance(self, Free):
-            return Free(p(self.atom))
-        return self
-
-    def support(self) -> NameSet:
-        if isinstance(self, Free):
-            return NameSet.finite([self.atom])
-        return NameSet.empty()
-
-    def to_json(self):
-        if isinstance(self, Free):
-            return {"free": self.atom.index}
-        return {"bound": self.level}
+    """A channel or message occurrence: ``Free`` or ``Bound``."""
 
 
 @dataclass(frozen=True)
 class Free(Name):
     atom: Atom
 
+    def open_at(self, i: int, x: Atom) -> Name:
+        return self
+
+    def close_at(self, i: int, x: Atom) -> Name:
+        return Bound(i) if self.atom == x else self
+
+    def lc_at(self, i: int) -> bool:
+        return True
+
+    def perm_apply(self, p: Permutation) -> Name:
+        return Free(p(self.atom))
+
+    def support(self) -> NameSet:
+        return NameSet.finite([self.atom])
+
+    def to_json(self):
+        return {"free": self.atom.index}
+
 
 @dataclass(frozen=True)
 class Bound(Name):
     level: int
 
+    def open_at(self, i: int, x: Atom) -> Name:
+        return Free(x) if self.level == i else self
+
+    def close_at(self, i: int, x: Atom) -> Name:
+        return self
+
+    def lc_at(self, i: int) -> bool:
+        return self.level < i
+
+    def perm_apply(self, p: Permutation) -> Name:
+        return self
+
+    def support(self) -> NameSet:
+        return NameSet.empty()
+
+    def to_json(self):
+        return {"bound": self.level}
+
 
 def name_from_json(data: dict) -> Name:
-    if "free" in data:
-        return Free(Atom(data["free"]))
-    return Bound(data["bound"])
+    """Decode a name's to_json output: exactly one of "free" and "bound", with a
+    natural-number value; raises ValueError on anything else."""
+    if isinstance(data, dict) and len(data) == 1:
+        (kind, value), = data.items()
+        if type(value) is int and value >= 0:
+            if kind == "free":
+                return Free(Atom(value))
+            if kind == "bound":
+                return Bound(value)
+    raise ValueError(f"not a name: {data!r}")
 
 
 class Term:
@@ -126,61 +153,80 @@ class Rep(Term):
     body: Term
 
 
-def term_open_at(i: int, x: Atom, t: Term) -> Term:
+def map_names(t: Term, f: Callable[[Name, int], Name], i: int = 0) -> Term:
+    """t with each name n found under d binders replaced by f(n, i + d)."""
     match t:
         case Nil():
             return t
-        case Sum(f):
-            return Sum(f.open_at(i, x))
+        case Sum(fam):
+            return Sum(IndexedFamily(tuple(map_names(e, f, i) for e in fam.entries),
+                                     map_names(fam.default, f, i)))
         case Inp(c, b):
-            return Inp(c.open_at(i, x), term_open_at(i + 1, x, b))
+            return Inp(f(c, i), map_names(b, f, i + 1))
         case Out(c, m, k):
-            return Out(c.open_at(i, x), m.open_at(i, x), term_open_at(i, x, k))
+            return Out(f(c, i), f(m, i), map_names(k, f, i))
         case Par(l, r):
-            return Par(term_open_at(i, x, l), term_open_at(i, x, r))
+            return Par(map_names(l, f, i), map_names(r, f, i))
         case Res(b):
-            return Res(term_open_at(i + 1, x, b))
+            return Res(map_names(b, f, i + 1))
         case Rep(b):
-            return Rep(term_open_at(i, x, b))
+            return Rep(map_names(b, f, i))
     raise TypeError(f"not a term: {t!r}")
+
+
+def name_levels(t: Term, i: int = 0, out: list | None = None) -> list[tuple[Name, int]]:
+    """The names of t in preorder, each paired with i plus the binders above
+    it (appended to out when given)."""
+    if out is None:
+        out = []
+    match t:
+        case Nil():
+            pass
+        case Sum(fam):
+            for e in fam.parts():
+                name_levels(e, i, out)
+        case Inp(c, b):
+            out.append((c, i))
+            name_levels(b, i + 1, out)
+        case Out(c, m, k):
+            out += ((c, i), (m, i))
+            name_levels(k, i, out)
+        case Par(l, r):
+            name_levels(l, i, out)
+            name_levels(r, i, out)
+        case Res(b):
+            name_levels(b, i + 1, out)
+        case Rep(b):
+            name_levels(b, i, out)
+        case _:
+            raise TypeError(f"not a term: {t!r}")
+    return out
+
+
+def term_open_at(i: int, x: Atom, t: Term) -> Term:
+    return map_names(t, lambda n, d: n.open_at(d, x), i)
 
 
 def term_close_at(i: int, x: Atom, t: Term) -> Term:
-    match t:
-        case Nil():
-            return t
-        case Sum(f):
-            return Sum(f.close_at(i, x))
-        case Inp(c, b):
-            return Inp(c.close_at(i, x), term_close_at(i + 1, x, b))
-        case Out(c, m, k):
-            return Out(c.close_at(i, x), m.close_at(i, x), term_close_at(i, x, k))
-        case Par(l, r):
-            return Par(term_close_at(i, x, l), term_close_at(i, x, r))
-        case Res(b):
-            return Res(term_close_at(i + 1, x, b))
-        case Rep(b):
-            return Rep(term_close_at(i, x, b))
-    raise TypeError(f"not a term: {t!r}")
+    return map_names(t, lambda n, d: n.close_at(d, x), i)
+
+
+def term_perm(p: Permutation, t: Term) -> Term:
+    return map_names(t, lambda n, _: n.perm_apply(p))
 
 
 def term_lc_at(i: int, t: Term) -> bool:
-    match t:
-        case Nil():
-            return True
-        case Sum(f):
-            return all(term_lc_at(i, e) for e in f.parts())
-        case Inp(c, b):
-            return c.lc_at(i) and term_lc_at(i + 1, b)
-        case Out(c, m, k):
-            return c.lc_at(i) and m.lc_at(i) and term_lc_at(i, k)
-        case Par(l, r):
-            return term_lc_at(i, l) and term_lc_at(i, r)
-        case Res(b):
-            return term_lc_at(i + 1, b)
-        case Rep(b):
-            return term_lc_at(i, b)
-    raise TypeError(f"not a term: {t!r}")
+    return all(n.lc_at(d) for n, d in name_levels(t, i))
+
+
+def term_atom_list(t: Term) -> list[Atom]:
+    """Free atoms in preorder, with repeats."""
+    return [n.atom for n, _ in name_levels(t) if isinstance(n, Free)]
+
+
+def free_names(t: Term) -> NameSet:
+    """The support of a term: its free atoms (always a finite set)."""
+    return NameSet.finite(term_atom_list(t))
 
 
 def term_lc(t: Term, extra: int = 3) -> bool:
@@ -208,55 +254,6 @@ def term_lc(t: Term, extra: int = 3) -> bool:
         case Rep(b):
             return term_lc(b, extra)
     raise TypeError(f"not a term: {t!r}")
-
-
-def term_perm(p: Permutation, t: Term) -> Term:
-    match t:
-        case Nil():
-            return t
-        case Sum(f):
-            return Sum(f.perm_apply(p))
-        case Inp(c, b):
-            return Inp(c.perm_apply(p), term_perm(p, b))
-        case Out(c, m, k):
-            return Out(c.perm_apply(p), m.perm_apply(p), term_perm(p, k))
-        case Par(l, r):
-            return Par(term_perm(p, l), term_perm(p, r))
-        case Res(b):
-            return Res(term_perm(p, b))
-        case Rep(b):
-            return Rep(term_perm(p, b))
-    raise TypeError(f"not a term: {t!r}")
-
-
-def free_names(t: Term) -> NameSet:
-    """The support of a term: its free atoms (always a finite set)."""
-    return NameSet.finite(term_atom_list(t))
-
-
-def term_atom_list(t: Term) -> list[Atom]:
-    """Free atoms in preorder, with repeats."""
-    match t:
-        case Nil():
-            return []
-        case Sum(f):
-            out: list[Atom] = []
-            for e in f.parts():
-                out += term_atom_list(e)
-            return out
-        case Inp(c, b):
-            return _name_atoms(c) + term_atom_list(b)
-        case Out(c, m, k):
-            return _name_atoms(c) + _name_atoms(m) + term_atom_list(k)
-        case Par(l, r):
-            return term_atom_list(l) + term_atom_list(r)
-        case Res(b) | Rep(b):
-            return term_atom_list(b)
-    raise TypeError(f"not a term: {t!r}")
-
-
-def _name_atoms(n: Name) -> list[Atom]:
-    return [n.atom] if isinstance(n, Free) else []
 
 
 def term_size(t: Term) -> int:

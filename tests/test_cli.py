@@ -151,6 +151,25 @@ def test_check_deriv_rejects_a_bad_name_set(capsys, tmp_path, corrupt) -> None:
     assert err == f"syntax error: {deriv} is not a derivation file (at position 0)\n"
 
 
+@pytest.mark.parametrize(
+    "name",
+    [{"bound": -1}, {"bound": "x"}],  # a negative index: not locally closed; not a number
+    ids=["negative-bound", "string-bound"],
+)
+def test_check_deriv_rejects_a_bad_name(capsys, tmp_path, name) -> None:
+    deriv = tmp_path / "derivs.json"
+    run(capsys, "step", "-e", "n", "n!n. 0 | 0", "--deriv", str(deriv))
+    data = json.loads(deriv.read_text())
+    assert data[0]["rule"] == "Par-L"
+    idle = {"tag": "out", "chan": name, "msg": name, "cont": {"tag": "nil"}}
+    for end in ("src", "dst"):  # the idle right component, on both sides of the step
+        data[0]["conclusion"][end]["proc"]["right"] = idle
+    deriv.write_text(json.dumps(data))
+    code, out, err = run(capsys, "check-deriv", str(deriv))
+    assert (code, out) == (1, "")
+    assert err == f"syntax error: {deriv} is not a derivation file (at position 0)\n"
+
+
 # ------------- trace and rename -------------
 
 
@@ -289,6 +308,23 @@ def test_selftest_runs_every_registered_suite(capsys) -> None:
         code, out, _ = run(capsys, "selftest", suite, "20", "3")
         assert code == 0, suite
         assert out.endswith("0 failures\n"), suite
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["selftest", "perm-laws", "-5", "1"], "cases"),
+        (["check-deriv", "--witnesses", "-3", "derivs.json"], "--witnesses"),
+        (["rename", "--witnesses", "-3", "trace.json", "n1", "m"], "--witnesses"),
+    ],
+    ids=["selftest-cases", "check-deriv-witnesses", "rename-witnesses"],
+)
+def test_negative_counts_are_rejected_by_the_argument_parser(capsys, argv, flag) -> None:
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    bad = next(x for x in argv if x.startswith("-") and x[1:].isdigit())
+    assert f"argument {flag}: must be a natural number, got '{bad}'" in capsys.readouterr().err
 
 
 # ------------- error reporting -------------

@@ -8,6 +8,7 @@ from lnpi.namesets import NameSet
 from lnpi.parsing import (
     ParseError,
     UnboundedSumSyntax,
+    intern,
     parse,
     print_term,
     render_atom,
@@ -37,6 +38,14 @@ def test_parse_input_binds_its_parameter() -> None:
     # free identifiers intern in first-occurrence order: c then n
     assert symtab == {"c": a[0], "n": a[1]}
     assert t == Inp(Free(a[0]), Out(Bound(0), Free(a[1]), Nil()))
+
+
+def test_intern_picks_the_least_atom_not_taken_or_reserved() -> None:
+    symtab = {"c": a[0], "n": a[2]}
+    assert intern(symtab, "n") == a[2]
+    assert intern(symtab, "m", reserved=(a[1], a[3])) == a[4]
+    assert intern(symtab, "k") == a[1]
+    assert symtab == {"c": a[0], "n": a[2], "m": a[4], "k": a[1]}
 
 
 def test_parse_resolves_innermost_binder_first() -> None:

@@ -17,6 +17,7 @@ from lnpi.pisyntax import (
     Res,
     Sum,
     free_names,
+    name_from_json,
     par_factors,
     term_from_json,
     term_key,
@@ -81,6 +82,12 @@ def test_sum_entries_open_pointwise_without_shift() -> None:
     t = sum_of(Out(Bound(0), Bound(0), Nil()))
     got = t.open_at(0, a[2])
     assert got == sum_of(Out(Free(a[2]), Free(a[2]), Nil()))
+    # An entry that opening or closing makes equal to the default is dropped.
+    done, dangling = Out(Free(a[2]), Free(a[2]), Nil()), Out(Bound(0), Bound(0), Nil())
+    opened = Sum(IndexedFamily((Out(Bound(0), Free(a[2]), Nil()),), done)).open_at(0, a[2])
+    assert opened.procs.entries == () and opened == Sum(IndexedFamily((), done))
+    closed = Sum(IndexedFamily((done,), Out(Bound(0), Free(a[2]), Nil()))).close_at(0, a[2])
+    assert closed.procs.entries == () and closed == Sum(IndexedFamily((), dangling))
 
 
 # ------------- local closure -------------
@@ -205,3 +212,12 @@ def test_json_tags_are_stable() -> None:
 def test_json_rejects_unknown_tags() -> None:
     with pytest.raises((KeyError, ValueError)):
         term_from_json({"tag": "bang"})
+
+
+@pytest.mark.parametrize(
+    "data",
+    [{}, {"bound": -1}, {"bound": "x"}, {"free": True}, {"free": 1, "bound": 0}, {"atom": 1}, [0]],
+)
+def test_name_json_needs_exactly_one_natural_field(data) -> None:
+    with pytest.raises(ValueError):
+        name_from_json(data)
