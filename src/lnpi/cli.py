@@ -15,7 +15,7 @@ import json
 import re
 import sys
 
-from .atoms import Atom, Permutation
+from .atoms import Atom, Permutation, atom_from_json
 from .lts import (
     Action,
     BoundOutput,
@@ -95,21 +95,38 @@ def _config_str(cfg: Config, symtab: Symtab) -> str:
     return f"<{render_nameset(cfg.env, symtab)}; {print_term(cfg.proc, symtab)}>"
 
 
+def _json_text(data) -> str:
+    # Compact: json.dumps with indent= always takes the pure-Python encoder.
+    return json.dumps(data, sort_keys=True)
+
+
 def _emit_json(data) -> None:
-    print(json.dumps(data, indent=2, sort_keys=True))
+    print(_json_text(data))
 
 
 def _write_json(path: str, data) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(data, indent=2, sort_keys=True))
+        fh.write(_json_text(data))
 
 
 def _load_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
+    except RecursionError as e:
+        raise ParseError(f"{path} is nested too deeply", 0) from e
     except (OSError, json.JSONDecodeError) as e:
         raise ParseError(f"cannot read {path}: {e}", 0) from e
+
+
+def _decoded(path: str, what: str, decode):
+    """decode(), with any failure to decode reported as a syntax error in path."""
+    try:
+        return decode()
+    except RecursionError as e:
+        raise ParseError(f"{path} is nested too deeply", 0) from e
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise ParseError(f"{path} is not a {what}", 0) from e
 
 
 def _names_json(symtab: Symtab) -> dict[str, int]:
@@ -117,7 +134,7 @@ def _names_json(symtab: Symtab) -> dict[str, int]:
 
 
 def _names_from_json(data: dict) -> Symtab:
-    return {ident: Atom(i) for ident, i in data.items()}
+    return {ident: atom_from_json(i) for ident, i in data.items()}
 
 
 # ------------- commands -------------
@@ -184,12 +201,13 @@ def cmd_trace(args) -> int:
 
 def cmd_rename(args) -> int:
     data = _load_json(args.trace)
-    try:
-        symtab = _names_from_json(data.get("names", {}))
+
+    def decode():
         trace = Trace.from_json(data)
-        reserved = trace.start.support().atoms()  # a non-finite start raises
-    except (AttributeError, KeyError, TypeError, ValueError) as e:
-        raise ParseError(f"{args.trace} is not a trace file", 0) from e
+        # a non-finite start raises in atoms()
+        return _names_from_json(data.get("names", {})), trace, trace.start.support().atoms()
+
+    symtab, trace, reserved = _decoded(args.trace, "trace file", decode)
     n = intern(symtab, args.old, reserved)
     m = intern(symtab, args.new, reserved)
     try:
@@ -241,10 +259,7 @@ def cmd_check_deriv(args) -> int:
     data = _load_json(args.file)
     listed = data if isinstance(data, list) else [data]
     for entry in listed:
-        try:
-            d = Derivation.from_json(entry)
-        except (AttributeError, KeyError, TypeError, ValueError) as e:
-            raise ParseError(f"{args.file} is not a derivation file", 0) from e
+        d = _decoded(args.file, "derivation file", lambda: Derivation.from_json(entry))
         check(d, args.witnesses)
         print(f"ok [{d.rule}] {_action_str(d.conclusion.action, {})}")
     return 0

@@ -25,7 +25,7 @@ import json
 from dataclasses import dataclass
 from itertools import groupby
 
-from .atoms import Atom, Permutation, swap
+from .atoms import Atom, Permutation, atom_from_json, is_natural, swap
 from .namesets import NameSet, fresh, union_all
 from .permtypes import is_fresh
 from .pisyntax import (
@@ -147,11 +147,11 @@ def action_from_json(data: dict) -> Action:
         case "tau":
             return Tau()
         case "in":
-            return Input(Atom(data["c"]), Atom(data["n"]))
+            return Input(atom_from_json(data["c"]), atom_from_json(data["n"]))
         case "out":
-            return Output(Atom(data["c"]), Atom(data["n"]))
+            return Output(atom_from_json(data["c"]), atom_from_json(data["n"]))
         case "bout":
-            return BoundOutput(Atom(data["c"]), Atom(data["n"]))
+            return BoundOutput(atom_from_json(data["c"]), atom_from_json(data["n"]))
     raise ValueError(f"unknown action tag: {data['tag']!r}")
 
 
@@ -248,13 +248,25 @@ class Derivation:
         )
 
     def support(self) -> NameSet:
-        parts = [self.conclusion.support()]
-        parts += [q.support() for q in self.premises]
-        if self.cofinite:
-            parts.append(self.cofinite.support())
-        if isinstance(self.side, Atom):
-            parts.append(NameSet.finite([self.side]))
-        return union_all(*parts)
+        # One walk with an explicit stack: the atoms of every node go into one
+        # finite set, its environments and avoid sets into one union_all.
+        sets: list[NameSet] = []
+        atoms: list[Atom] = []
+        stack = [self]
+        while stack:
+            d = stack.pop()
+            t = d.conclusion
+            sets += (t.src.env, t.dst.env)
+            atoms += term_atom_list(t.src.proc) + term_atom_list(t.dst.proc)
+            if not isinstance(t.action, Tau):
+                atoms += (t.action.chan, t.action.name)
+            if d.cofinite:
+                sets.append(d.cofinite.avoid)
+                atoms.append(d.cofinite.witness)
+            if isinstance(d.side, Atom):
+                atoms.append(d.side)
+            stack += d.premises
+        return union_all(NameSet.finite(atoms), *sets)
 
     def to_json(self) -> dict:
         side = self.side
@@ -277,12 +289,14 @@ class Derivation:
         cof = data.get("cofinite")
         side = data.get("side")
         if isinstance(side, dict):
-            side = Atom(side["atom"])
+            side = atom_from_json(side["atom"])
+        elif not (side is None or is_natural(side)):
+            raise ValueError(f"side must be null, an entry index or an atom, got {side!r}")
         return cls(
             data["rule"],
             Transition.from_json(data["conclusion"]),
             tuple(cls.from_json(q) for q in data["premises"]),
-            Cofinite(NameSet.from_json(cof["L"]), Atom(cof["witness"])) if cof else None,
+            Cofinite(NameSet.from_json(cof["L"]), atom_from_json(cof["witness"])) if cof else None,
             side,
         )
 

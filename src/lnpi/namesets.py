@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import count, filterfalse, islice
 from typing import Iterable
 
-from .atoms import Atom, Permutation
+from .atoms import Atom, Permutation, is_natural
 
 
 class AllNamesAvoided(Exception):
@@ -181,6 +181,10 @@ class NameSet:
 
     def perm_apply(self, p: Permutation) -> NameSet:
         """The image {p(a) | a in S}; the periodic base survives because p moves finitely many atoms."""
+        if self.modulus == 1:
+            # The base is a constant, so each exception moves with its atom.
+            move = dict(p.pairs)
+            return NameSet(1, self.residues, tuple((move.get(a, a), v) for a, v in self.exceptions))
         inv = p.inverse()
         exc = {b.index: self.member(inv(b)) for b in p.moved()}
         for a, v in self.exceptions:
@@ -215,10 +219,10 @@ class NameSet:
         """Decode to_json output; raises ValueError on a non-natural index or
         a modulus outside 1..MAX_JSON_MODULUS."""
         mod = data.get("mod", 1)
-        if not (_is_natural(mod) and 1 <= mod <= MAX_JSON_MODULUS):
+        if not (is_natural(mod) and 1 <= mod <= MAX_JSON_MODULUS):
             raise ValueError(f"mod must be an integer in 1..{MAX_JSON_MODULUS}, got {mod!r}")
         res, add, remove = (list(data.get(key, [])) for key in ("res", "add", "remove"))
-        if not all(map(_is_natural, res + add + remove)):
+        if not all(map(is_natural, res + add + remove)):
             raise ValueError("residues and atom indices must be natural numbers")
         exc = [(a, True) for a in add] + [(a, False) for a in remove]
         return cls(mod, frozenset(res), tuple(exc))
@@ -229,11 +233,11 @@ class NameSet:
 MAX_JSON_MODULUS = 64
 
 
-def _is_natural(x) -> bool:
-    return type(x) is int and x >= 0
-
-
 def union_all(*sets: NameSet) -> NameSet:
+    if all(s.is_finite() for s in sets):
+        # All finite: each set's exceptions are its members, so one
+        # construction merges them.
+        return NameSet(1, _NONE, tuple(e for s in sets for e in s.exceptions))
     out = NameSet.empty()
     for s in sets:
         out = out.union(s)

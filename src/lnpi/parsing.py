@@ -14,7 +14,8 @@ the body's free atoms and their display names.
 from __future__ import annotations
 
 import re
-from typing import Iterable
+from itertools import count, filterfalse
+from typing import Iterable, Iterator
 
 from .atoms import Atom
 from .namesets import NameSet
@@ -70,12 +71,22 @@ def tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-def intern(symtab: dict[str, Atom], ident: str, reserved: Iterable[Atom] = ()) -> Atom:
+def intern(
+    symtab: dict[str, Atom], ident: str, reserved: Iterable[Atom] = (), fresh: Iterator[int] | None = None
+) -> Atom:
     """The atom of ident; a new identifier gets the least atom that is
-    neither in symtab nor reserved, and is added to symtab."""
+    neither in symtab nor reserved, and is added to symtab.  A caller that
+    interns many identifiers passes fresh=free_indices(symtab, reserved) each
+    time, and adds to symtab only through intern, so no call rescans symtab."""
     if ident not in symtab:
-        symtab[ident] = NameSet.finite([*symtab.values(), *reserved]).least_outside(1)[0]
+        symtab[ident] = Atom(next(fresh or free_indices(symtab, reserved)))
     return symtab[ident]
+
+
+def free_indices(symtab: dict[str, Atom], reserved: Iterable[Atom] = ()) -> Iterator[int]:
+    """The indices of the atoms neither in symtab nor reserved, ascending."""
+    taken = {a.index for a in symtab.values()} | {a.index for a in reserved}
+    return filterfalse(taken.__contains__, count())
 
 
 class _Parser:
@@ -83,6 +94,7 @@ class _Parser:
         self.tokens = tokenize(text)
         self.pos = 0
         self.symtab = dict(symtab)
+        self.fresh = free_indices(self.symtab)
         self.bound: list[str] = []  # innermost binder last
 
     def peek(self) -> tuple[str, str, int]:
@@ -108,7 +120,7 @@ class _Parser:
         for depth, binder in enumerate(reversed(self.bound)):
             if binder == ident:
                 return Bound(depth)
-        return Free(intern(self.symtab, ident))
+        return Free(intern(self.symtab, ident, fresh=self.fresh))
 
     def proc(self) -> Term:
         t = self.prefix()

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .atoms import Atom, Permutation
+from .atoms import Atom, Permutation, is_natural
 from .namesets import NameSet
 from .permtypes import IndexedFamily
 
@@ -83,7 +83,7 @@ def name_from_json(data: dict) -> Name:
     natural-number value; raises ValueError on anything else."""
     if isinstance(data, dict) and len(data) == 1:
         (kind, value), = data.items()
-        if type(value) is int and value >= 0:
+        if is_natural(value):
             if kind == "free":
                 return Free(Atom(value))
             if kind == "bound":

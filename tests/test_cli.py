@@ -2,7 +2,11 @@ import json
 
 import pytest
 
+from lnpi.atoms import Atom
 from lnpi.cli import main
+from lnpi.lts import Config, Derivation, step
+from lnpi.namesets import NameSet
+from lnpi.parsing import parse
 
 SERVER = "*( new n. c?(x). x!n. 0 )"
 
@@ -170,6 +174,88 @@ def test_check_deriv_rejects_a_bad_name(capsys, tmp_path, name) -> None:
     assert err == f"syntax error: {deriv} is not a derivation file (at position 0)\n"
 
 
+@pytest.mark.parametrize("value", [True, 1.0, -1, "1"], ids=["bool", "float", "negative", "string"])
+@pytest.mark.parametrize(
+    "process, where",
+    [
+        ("new c. n!c. 0", ("side", "atom")),  # Open: the extruded atom
+        ("sum[n!n. 0; 0]", ("side",)),  # Sum: the entry index
+        ("new c. n!n. 0", ("cofinite", "witness")),  # Res: the cofinite witness
+        ("new c. n!c. 0", ("conclusion", "action", "c")),
+        ("new c. n!c. 0", ("conclusion", "action", "n")),
+    ],
+    ids=["open-side", "sum-side", "witness", "action-c", "action-n"],
+)
+def test_check_deriv_rejects_a_non_natural_index(capsys, tmp_path, process, where, value) -> None:
+    deriv = tmp_path / "derivs.json"
+    run(capsys, "step", "-e", "n", process, "--deriv", str(deriv))
+    data = json.loads(deriv.read_text())
+    slot = data[0]
+    for key in where[:-1]:
+        slot = slot[key]
+    slot[where[-1]] = value
+    deriv.write_text(json.dumps(data))
+    code, out, err = run(capsys, "check-deriv", str(deriv))
+    assert (code, out) == (1, "")
+    assert err == f"syntax error: {deriv} is not a derivation file (at position 0)\n"
+
+
+def test_step_writes_compact_json_with_sorted_keys(capsys, tmp_path) -> None:
+    deriv = tmp_path / "derivs.json"
+    run(capsys, "step", "-e", "c", "--fuel", "2", SERVER, "--deriv", str(deriv))
+    proc, _ = parse(SERVER, {"c": Atom(0)})
+    result = step(Config(NameSet.finite([Atom(0)]), proc), 2)
+    assert len(result.results) > 1
+    assert deriv.read_text() == json.dumps([d.to_json() for _, d in result.results], sort_keys=True)
+
+
+def test_readers_accept_indented_json(capsys, tmp_path) -> None:
+    # Files written with json.dumps(indent=2) still read the same.
+    deriv, traced = tmp_path / "derivs.json", tmp_path / "trace.json"
+    run(capsys, "step", "-e", "c", "--fuel", "2", SERVER, "--deriv", str(deriv))
+    acts = write_actions(tmp_path, ["c?y1", "(n1)y1!n1"])
+    run(capsys, "trace", "-e", "c", "--fuel", "2", SERVER, acts, "--deriv", str(traced))
+    compact = [run(capsys, "check-deriv", str(deriv)), run(capsys, "rename", str(traced), "n1", "m")]
+    for path in (deriv, traced):
+        path.write_text(json.dumps(json.loads(path.read_text()), indent=2))
+    indented = [run(capsys, "check-deriv", str(deriv)), run(capsys, "rename", str(traced), "n1", "m")]
+    assert indented == compact
+    assert [code for code, _, _ in indented] == [0, 0]
+
+
+CONFIG_JSON = '{"env": {"mod": 1, "res": [], "add": [0], "remove": []}, "proc": {"tag": "nil"}}'
+TAU_JSON = f'{{"src": {CONFIG_JSON}, "action": {{"tag": "tau"}}, "dst": {CONFIG_JSON}}}'
+
+
+def nested_derivation(depth: int) -> str:
+    """A derivation text of depth Rep nodes, each the one premise of the node above."""
+    leaf = f'{{"rule": "Out", "conclusion": {TAU_JSON}, "premises": []}}'
+    return f'{{"rule": "Rep", "conclusion": {TAU_JSON}, "premises": [' * depth + leaf + "]}" * depth
+
+
+def test_deeply_nested_files_are_syntax_errors(capsys, tmp_path) -> None:
+    deep = tmp_path / "deep.json"
+    deep.write_text(nested_derivation(2000))
+    code, out, err = run(capsys, "check-deriv", str(deep))
+    assert (code, out, err) == (1, "", f"syntax error: {deep} is nested too deeply (at position 0)\n")
+    step_json = f'{{"action": {{"tag": "tau"}}, "config": {CONFIG_JSON}, "deriv": {nested_derivation(2000)}}}'
+    deep.write_text(f'{{"start": {CONFIG_JSON}, "steps": [{step_json}], "names": {{}}}}')
+    code, out, err = run(capsys, "rename", str(deep), "n", "m")
+    assert (code, out, err) == (1, "", f"syntax error: {deep} is nested too deeply (at position 0)\n")
+
+
+def test_too_deep_decoding_is_a_syntax_error(capsys, tmp_path, monkeypatch) -> None:
+    # A file the JSON decoder takes can still recurse too deeply in from_json.
+    def too_deep(cls, data):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    deriv = tmp_path / "derivs.json"
+    deriv.write_text(nested_derivation(1))
+    monkeypatch.setattr(Derivation, "from_json", classmethod(too_deep))
+    code, out, err = run(capsys, "check-deriv", str(deriv))
+    assert (code, out, err) == (1, "", f"syntax error: {deriv} is nested too deeply (at position 0)\n")
+
+
 # ------------- trace and rename -------------
 
 
@@ -255,6 +341,19 @@ def test_rename_rejects_a_bad_start_environment(capsys, tmp_path, start_env) -> 
     trace_file.write_text(json.dumps(data))
     code, _, err = run(capsys, "rename", str(trace_file), "n1", "m")
     assert code == 1
+    assert err == f"syntax error: {trace_file} is not a trace file (at position 0)\n"
+
+
+@pytest.mark.parametrize("value", [True, 1.0, -1, "1"], ids=["bool", "float", "negative", "string"])
+def test_rename_rejects_a_non_natural_names_entry(capsys, tmp_path, value) -> None:
+    acts = write_actions(tmp_path, ["c?y1"])
+    trace_file = tmp_path / "trace.json"
+    run(capsys, "trace", "-e", "c", "--fuel", "2", SERVER, acts, "--deriv", str(trace_file))
+    data = json.loads(trace_file.read_text())
+    data["names"]["y1"] = value
+    trace_file.write_text(json.dumps(data))
+    code, out, err = run(capsys, "rename", str(trace_file), "n1", "m")
+    assert (code, out) == (1, "")
     assert err == f"syntax error: {trace_file} is not a trace file (at position 0)\n"
 
 

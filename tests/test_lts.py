@@ -1,5 +1,7 @@
+import itertools
 import json
 import random
+from functools import reduce
 
 import pytest
 
@@ -294,6 +296,55 @@ def test_memo_holds_one_entry_per_distinct_subproblem() -> None:
     result = lts._step(ROADMAP_PROCESS, 5, memo)
     assert len(memo) == 107
     assert len(result.results) == 40
+
+
+# ------------- derivation support -------------
+
+
+def recursive_support(d: Derivation) -> NameSet:
+    """Derivation.support() as the recursive union of every node's parts."""
+    parts = [d.conclusion.support(), *map(recursive_support, d.premises)]
+    if d.cofinite:
+        parts.append(d.cofinite.support())
+    if isinstance(d.side, Atom):
+        parts.append(NameSet.finite([d.side]))
+    return reduce(NameSet.union, parts, NameSet.empty())
+
+
+def test_support_walk_matches_the_recursive_union(monkeypatch) -> None:
+    rng = random.Random(61)
+    corpus = [(rand_config(rng), 2) for _ in range(150)] + lts_lemmas_configs(monkeypatch)
+    derivs = [d for cfg, fuel in corpus for _, d in step(cfg, fuel).results]
+    assert len(derivs) > 500
+    assert {"Res", "Open", "Close-L", "Close-R", "Sum"} <= {q.rule for d in derivs for q in walk(d)}
+    fresh_atoms = map(Atom, itertools.count(100))
+    for d in derivs:
+        assert d.support() == recursive_support(d), d
+        moved = relabelled(d, fresh_atoms)  # the parts of different nodes no longer overlap
+        assert moved.support() == recursive_support(moved), moved
+    # Conclusion parts that share no atom, as in no enumerated derivation.
+    apart = Derivation("Out", Transition(Config(fin(0), Nil()), Output(a[1], a[2]),
+                                         Config(fin(3), Out(F(4), F(5), Nil()))))
+    assert apart.support() == fin(0, 1, 2, 3, 4, 5)
+    # An infinite environment sends the one union through union_all's fold.
+    d = derivs[0]
+    t = d.conclusion
+    wide = Derivation(d.rule, Transition(Config(NameSet.periodic(2, [1]), t.src.proc), t.action, t.dst),
+                      d.premises, d.cofinite, d.side)
+    assert wide.support() == recursive_support(wide)
+
+
+def relabelled(d: Derivation, fresh_atoms) -> Derivation:
+    """d with each node's side atom, witness and avoid set replaced by new atoms."""
+    side = next(fresh_atoms) if isinstance(d.side, Atom) else d.side
+    cof = Cofinite(NameSet.finite([next(fresh_atoms)]), next(fresh_atoms)) if d.cofinite else None
+    return Derivation(d.rule, d.conclusion, tuple(relabelled(q, fresh_atoms) for q in d.premises), cof, side)
+
+
+def walk(d: Derivation):
+    yield d
+    for q in d.premises:
+        yield from walk(q)
 
 
 # ------------- canonical fresh witnesses -------------

@@ -1,8 +1,9 @@
 import random
+from functools import reduce
 
 import pytest
 
-from lnpi.atoms import Atom, swap
+from lnpi.atoms import Atom, Permutation, swap
 from lnpi.namesets import (
     MAX_JSON_MODULUS,
     AllNamesAvoided,
@@ -219,7 +220,47 @@ def test_finite_fast_path_matches_the_general_path() -> None:
                 fresh(s)
 
 
+def test_finite_union_all_matches_the_pairwise_fold() -> None:
+    # union_all merges all-finite operands in one construction; any other
+    # operand sends it down the fold, which must give the same set.
+    rng = random.Random(11)
+
+    def rand_set() -> NameSet:
+        atoms = [Atom(rng.randrange(12)) for _ in range(rng.randrange(5))]
+        kind = rng.random()
+        if kind < 0.8:
+            return NameSet.finite(atoms)
+        return NameSet.cofinite(atoms) if kind < 0.9 else ODD.union(NameSet.finite(atoms))
+
+    for _ in range(2000):
+        sets = [rand_set() for _ in range(rng.randrange(5))]
+        assert union_all(*sets) == reduce(NameSet.union, sets, NameSet.empty()), sets
+
+
 # ------------- permutation action -------------
+
+
+def _image(s: NameSet, p: Permutation) -> NameSet:
+    """p . s by the general formula: a moved atom b is in the image iff p^-1(b) is in s."""
+    inv = p.inverse()
+    exc = {b.index: s.member(inv(b)) for b in p.moved()}
+    exc.update((x, v) for x, v in s.exceptions if x not in exc)
+    return NameSet(s.modulus, s.residues, tuple(sorted(exc.items())))
+
+
+def test_perm_apply_fast_path_matches_the_general_formula() -> None:
+    # Finite and cofinite sets move each exception with its atom, with no
+    # inverse and no membership scans.
+    rng = random.Random(13)
+    for _ in range(2000):
+        atoms = [Atom(rng.randrange(12)) for _ in range(rng.randrange(6))]
+        s = NameSet.finite(atoms) if rng.random() < 0.5 else NameSet.cofinite(atoms)
+        cycle = rng.sample(range(14), rng.choice((2, 3)))  # a swap or a 3-cycle
+        p = Permutation.from_cycles([cycle])
+        assert s.modulus == 1
+        assert s.perm_apply(p) == _image(s, p), (s, cycle)
+
+
 
 
 def test_perm_apply_is_the_image() -> None:

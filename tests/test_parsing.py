@@ -8,6 +8,7 @@ from lnpi.namesets import NameSet
 from lnpi.parsing import (
     ParseError,
     UnboundedSumSyntax,
+    free_indices,
     intern,
     parse,
     print_term,
@@ -46,6 +47,23 @@ def test_intern_picks_the_least_atom_not_taken_or_reserved() -> None:
     assert intern(symtab, "m", reserved=(a[1], a[3])) == a[4]
     assert intern(symtab, "k") == a[1]
     assert symtab == {"c": a[0], "n": a[2], "m": a[4], "k": a[1]}
+
+
+def test_intern_with_a_shared_fresh_iterator_picks_the_same_atoms() -> None:
+    plain = {"c": a[0], "n": a[2]}
+    shared = dict(plain)
+    fresh = free_indices(shared, reserved=(a[3],))
+    for ident in ("m", "n", "k", "j", "m"):
+        assert intern(shared, ident, fresh=fresh) == intern(plain, ident, reserved=(a[3],))
+    assert shared == plain == {"c": a[0], "n": a[2], "m": a[1], "k": a[4], "j": a[5]}
+
+
+def test_parse_interns_many_identifiers_in_first_occurrence_order() -> None:
+    text = " | ".join(f"n{i}!m{i}. 0" for i in range(1000))
+    _, symtab = parse(text, {"m0": Atom(1), "z": Atom(4)})
+    taken = sorted(x.index for x in symtab.values())
+    assert taken == list(range(2001))
+    assert [symtab[f"n{i}"].index for i in range(4)] == [0, 2, 5, 7]
 
 
 def test_parse_resolves_innermost_binder_first() -> None:
