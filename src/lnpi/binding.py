@@ -1,9 +1,10 @@
 """The locally nameless interface: opening, closing, local closure.
 
 A locally nameless value implements ``open_at``, ``close_at`` and
-``lc_at`` (levels are plain naturals).  Pairs, lists and the containers
-from ``permtypes`` are instances pointwise, with no level shift — only
-genuine binders (in the process syntax) shift the level.
+``lc_at`` (levels are plain naturals).  Tuples, lists, frozensets and
+every ``PermValue`` are instances pointwise over their components (the
+helpers of ``permtypes``), with no level shift — only genuine binders (in
+the process syntax) shift the level.
 
 ``lc`` is the everyday decision procedure lc_at(0).  ``lc_cofinite``
 decides the inductive definition instead, checking each binder body at a
@@ -13,29 +14,24 @@ agreement is a tested property, not an assumption.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .atoms import Atom
+from .permtypes import components, map_components
 
 
 def open_at(i: int, x: Atom, t):
     """Replace dangling index i by the free atom x."""
     if hasattr(t, "open_at"):
         return t.open_at(i, x)
-    if isinstance(t, tuple):
-        return tuple(open_at(i, x, e) for e in t)
-    if isinstance(t, list):
-        return [open_at(i, x, e) for e in t]
-    raise TypeError(f"not a locally nameless value: {type(t).__name__}")
+    return map_components(partial(open_at, i, x), t)
 
 
 def close_at(i: int, x: Atom, t):
     """Replace the free atom x by the bound index i."""
     if hasattr(t, "close_at"):
         return t.close_at(i, x)
-    if isinstance(t, tuple):
-        return tuple(close_at(i, x, e) for e in t)
-    if isinstance(t, list):
-        return [close_at(i, x, e) for e in t]
-    raise TypeError(f"not a locally nameless value: {type(t).__name__}")
+    return map_components(partial(close_at, i, x), t)
 
 
 def open0(t, x: Atom):
@@ -50,9 +46,7 @@ def lc_at(i: int, t) -> bool:
     """No dangling indices at or above level i."""
     if hasattr(t, "lc_at"):
         return t.lc_at(i)
-    if isinstance(t, (tuple, list)):
-        return all(lc_at(i, e) for e in t)
-    raise TypeError(f"not a locally nameless value: {type(t).__name__}")
+    return all(map(partial(lc_at, i), components(t)))
 
 
 def lc(t) -> bool:
@@ -63,12 +57,4 @@ def lc_cofinite(t, extra: int = 3) -> bool:
     """Local closure by the inductive binder-by-binder definition."""
     if hasattr(t, "lc_cofinite"):
         return t.lc_cofinite(extra)
-    if isinstance(t, (tuple, list)):
-        return all(lc_cofinite(e, extra) for e in t)
-    from .permtypes import FiniteTermSet, IndexedFamily
-
-    if isinstance(t, IndexedFamily):
-        return all(lc_cofinite(e, extra) for e in t.parts())
-    if isinstance(t, FiniteTermSet):
-        return all(lc_cofinite(e, extra) for e in t.elements)
-    raise TypeError(f"not a locally nameless value: {type(t).__name__}")
+    return all(lc_cofinite(e, extra) for e in components(t))

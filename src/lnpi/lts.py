@@ -27,7 +27,7 @@ from itertools import groupby
 
 from .atoms import Atom, Permutation, atom_from_json, is_natural, swap
 from .namesets import NameSet, fresh, union_all
-from .permtypes import is_fresh
+from .permtypes import PermValue, is_fresh
 from .pisyntax import (
     Bound,
     Free,
@@ -84,35 +84,11 @@ class CheckError(Exception):
 # ------------- actions -------------
 
 
-class Action:
-    def perm_apply(self, p: Permutation) -> Action:
-        match self:
-            case Tau():
-                return self
-            case Input(c, n):
-                return Input(p(c), p(n))
-            case Output(c, n):
-                return Output(p(c), p(n))
-            case BoundOutput(c, n):
-                return BoundOutput(p(c), p(n))
-        raise TypeError(f"not an action: {self!r}")
-
-    def support(self) -> NameSet:
-        if isinstance(self, Tau):
-            return NameSet.empty()
-        return NameSet.finite([self.chan, self.name])
+class Action(PermValue):
+    tag: str  # the JSON tag, one per subclass; all but Tau carry a channel and a name
 
     def to_json(self) -> dict:
-        match self:
-            case Tau():
-                return {"tag": "tau"}
-            case Input(c, n):
-                return {"tag": "in", "c": c.index, "n": n.index}
-            case Output(c, n):
-                return {"tag": "out", "c": c.index, "n": n.index}
-            case BoundOutput(c, n):
-                return {"tag": "bout", "c": c.index, "n": n.index}
-        raise TypeError(f"not an action: {self!r}")
+        return {"tag": self.tag, "c": self.chan.index, "n": self.name.index}
 
     def key(self):
         data = self.to_json()
@@ -121,37 +97,37 @@ class Action:
 
 @dataclass(frozen=True)
 class Tau(Action):
-    pass
+    tag = "tau"
+
+    def to_json(self) -> dict:
+        return {"tag": self.tag}
 
 
 @dataclass(frozen=True)
 class Input(Action):
+    tag = "in"
     chan: Atom
     name: Atom
 
 
 @dataclass(frozen=True)
 class Output(Action):
+    tag = "out"
     chan: Atom
     name: Atom
 
 
 @dataclass(frozen=True)
 class BoundOutput(Action):
+    tag = "bout"
     chan: Atom
     name: Atom  # the extruded name; never equals the channel
 
 
 def action_from_json(data: dict) -> Action:
-    match data["tag"]:
-        case "tau":
-            return Tau()
-        case "in":
-            return Input(atom_from_json(data["c"]), atom_from_json(data["n"]))
-        case "out":
-            return Output(atom_from_json(data["c"]), atom_from_json(data["n"]))
-        case "bout":
-            return BoundOutput(atom_from_json(data["c"]), atom_from_json(data["n"]))
+    for cls in (Tau, Input, Output, BoundOutput):
+        if cls.tag == data["tag"]:
+            return cls() if cls is Tau else cls(atom_from_json(data["c"]), atom_from_json(data["n"]))
     raise ValueError(f"unknown action tag: {data['tag']!r}")
 
 
@@ -166,14 +142,12 @@ def extr(a: Action) -> NameSet:
 
 
 @dataclass(frozen=True)
-class Config:
+class Config(PermValue):
     env: NameSet
     proc: Term
 
-    def perm_apply(self, p: Permutation) -> Config:
-        return Config(self.env.perm_apply(p), self.proc.perm_apply(p))
-
     def support(self) -> NameSet:
+        # The environment itself, not its support: they differ on infinite sets.
         return self.env.union(free_names(self.proc))
 
     def key(self):
@@ -192,16 +166,10 @@ def _nameset_key(s: NameSet):
 
 
 @dataclass(frozen=True)
-class Transition:
+class Transition(PermValue):
     src: Config
     action: Action
     dst: Config
-
-    def perm_apply(self, p: Permutation) -> Transition:
-        return Transition(self.src.perm_apply(p), self.action.perm_apply(p), self.dst.perm_apply(p))
-
-    def support(self) -> NameSet:
-        return union_all(self.src.support(), self.action.support(), self.dst.support())
 
     def key(self):
         return (self.action.key(), self.dst.key())
@@ -219,37 +187,27 @@ class Transition:
 
 
 @dataclass(frozen=True)
-class Cofinite:
+class Cofinite(PermValue):
     avoid: NameSet  # the finite set the quantified name must stay out of
     witness: Atom
 
-    def perm_apply(self, p: Permutation) -> Cofinite:
-        return Cofinite(self.avoid.perm_apply(p), p(self.witness))
-
     def support(self) -> NameSet:
+        # The avoid set itself, not its support: they differ on infinite sets.
         return self.avoid.union(NameSet.finite([self.witness]))
 
 
 @dataclass(frozen=True)
-class Derivation:
+class Derivation(PermValue):
     rule: str
     conclusion: Transition
     premises: tuple[Derivation, ...] = ()
     cofinite: Cofinite | None = None
     side: int | Atom | None = None  # Sum: entry index; Open: extruded atom
 
-    def perm_apply(self, p: Permutation) -> Derivation:
-        return Derivation(
-            self.rule,
-            self.conclusion.perm_apply(p),
-            tuple(q.perm_apply(p) for q in self.premises),
-            self.cofinite.perm_apply(p) if self.cofinite else None,
-            p(self.side) if isinstance(self.side, Atom) else self.side,
-        )
-
     def support(self) -> NameSet:
-        # One walk with an explicit stack: the atoms of every node go into one
-        # finite set, its environments and avoid sets into one union_all.
+        # Kept to walk the tree once, with an explicit stack, not to union per
+        # node: the atoms of every node go into one finite set, its
+        # environments and avoid sets into one union_all.
         sets: list[NameSet] = []
         atoms: list[Atom] = []
         stack = [self]
@@ -302,13 +260,10 @@ class Derivation:
 
 
 @dataclass(frozen=True)
-class TraceStep:
+class TraceStep(PermValue):
     action: Action
     config: Config
     deriv: Derivation
-
-    def perm_apply(self, p: Permutation) -> TraceStep:
-        return TraceStep(self.action.perm_apply(p), self.config.perm_apply(p), self.deriv.perm_apply(p))
 
 
 @dataclass(frozen=True)
@@ -600,7 +555,21 @@ def _check_cofinite_node(d: Derivation, path) -> tuple[NameSet, Atom]:
     return d.cofinite.avoid, w
 
 
+# Every rule, and the ones that record side data (Sum: the entry index; Open:
+# the extruded atom) or a cofinite record; the other rules take neither.
+_RULES = ("Out", "Inp", "Sum", "Par-L", "Par-R", "Res", "Open",
+          "Comm-L", "Comm-R", "Close-L", "Close-R", "Rep")
+_SIDE_RULES = ("Sum", "Open")
+_COFINITE_RULES = ("Res", "Close-L", "Close-R")
+
+
 def _check(d: Derivation, extra: int, path: tuple[int, ...]) -> None:
+    if d.rule not in _RULES:
+        _fail("RuleShape", path, f"unknown rule {d.rule!r}")
+    if d.side is not None and d.rule not in _SIDE_RULES:
+        _fail("RuleShape", path, f"rule {d.rule} takes no side data")
+    if d.cofinite is not None and d.rule not in _COFINITE_RULES:
+        _fail("RuleShape", path, f"rule {d.rule} takes no cofinite witness record")
     t = d.conclusion
     _require_config(t.src, path, "source")
     _require_config(t.dst, path, "destination")
@@ -642,7 +611,7 @@ def _check(d: Derivation, extra: int, path: tuple[int, ...]) -> None:
             _premise_count(d, 1, path)
             if not isinstance(proc, Sum):
                 _fail("RuleShape", path, "source process is not a sum")
-            if not isinstance(d.side, int) or d.side < 0:
+            if not is_natural(d.side):
                 _fail("RuleShape", path, "sum derivation must record its entry index")
             p = d.premises[0].conclusion
             want = Transition(Config(env, proc.procs.get(d.side)), t.action, t.dst)
@@ -683,8 +652,6 @@ def _check(d: Derivation, extra: int, path: tuple[int, ...]) -> None:
 
         case "Open":
             _premise_count(d, 1, path)
-            if d.cofinite is not None:
-                _fail("RuleShape", path, "extrusion is witnessed at one name, not cofinitely")
             if not isinstance(proc, Res):
                 _fail("RuleShape", path, "source process is not a restriction")
             if not isinstance(t.action, BoundOutput):
@@ -768,9 +735,6 @@ def _check(d: Derivation, extra: int, path: tuple[int, ...]) -> None:
             if p != want:
                 _fail("RuleShape", path, "premise must step one unfolding to the same result")
             _check(d.premises[0], extra, path + (0,))
-
-        case _:
-            _fail("RuleShape", path, f"unknown rule {d.rule!r}")
 
 
 def _check_at_witness(d: Derivation, want: Transition, extra: int, path) -> None:

@@ -212,15 +212,9 @@ def _render_name(n: Name, symtab: dict[str, Atom]) -> str:
 
 def _binder_atom(body: Term, symtab: dict[str, Atom]) -> Atom:
     # Least atom whose display name cannot capture anything free in the body.
-    fn = free_names(body)
-    taken_atoms = set(symtab.values())
-    taken_names = {render_atom(a, symtab) for a in fn.atoms()}
-    i = 0
-    while True:
-        w = Atom(i)
-        if w not in fn and w not in taken_atoms and render_atom(w, symtab) not in taken_names:
-            return w
-        i += 1
+    fn = free_names(body).atoms()
+    taken_names = {render_atom(a, symtab) for a in fn}
+    return next(w for w in map(Atom, free_indices(symtab, fn)) if render_atom(w, symtab) not in taken_names)
 
 
 def print_term(t: Term, symtab: dict[str, Atom] | None = None) -> str:

@@ -1,50 +1,91 @@
 """The permutation-type interface: apply a permutation, compute support.
 
-Domain classes implement ``perm_apply``/``support`` themselves; the
-module-level ``apply``/``supp`` extend the action pointwise to tuples and
-lists and give atoms-free primitives (ints, strings, booleans, None) the
-trivial action with empty support.
+Only the leaves (atoms, permutations, name sets, names, terms) implement
+``perm_apply``/``support`` themselves.  A composite is a frozen dataclass
+deriving from ``PermValue``, which defines its permutation action, its
+support and the level-preserving ``open_at``/``close_at``/``lc_at``
+pointwise over the fields named in ``__match_args__``: the generic
+definition of the Nominal approach, written once.  Tuples, lists and
+frozensets are containers with the same pointwise structure;
+``components`` lists the parts of any container and ``map_components``
+rebuilds one from mapped parts.  The module-level ``apply``/``supp`` give
+atoms-free primitives (ints, strings, booleans, None) the trivial action
+with empty support.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Protocol, TypeVar, runtime_checkable
+from functools import partial
+from typing import Any, Callable, Iterable
 
 from .atoms import Atom, Permutation
 from .namesets import NameSet, union_all
 
-T = TypeVar("T")
+_TRIVIAL = (bool, int, str, type(None))
+_CONTAINERS = (tuple, list, frozenset)
 
 
-@runtime_checkable
-class PermValue(Protocol):
-    def perm_apply(self, p: Permutation) -> Any: ...
+class PermValue:
+    """A composite permutation value: a dataclass whose fields are
+    permutation values, acted on, supported, opened and closed pointwise.
+    Opening and closing do not shift the level; only the binders of the
+    process syntax do."""
 
-    def support(self) -> NameSet: ...
+    def perm_apply(self, p: Permutation) -> Any:
+        return map_components(partial(apply, p), self)
+
+    def support(self) -> NameSet:
+        return union_all(*map(supp, components(self)))
+
+    def open_at(self, i: int, x: Atom) -> Any:
+        from .binding import open_at
+
+        return map_components(partial(open_at, i, x), self)
+
+    def close_at(self, i: int, x: Atom) -> Any:
+        from .binding import close_at
+
+        return map_components(partial(close_at, i, x), self)
+
+    def lc_at(self, i: int) -> bool:
+        from .binding import lc_at
+
+        return all(map(partial(lc_at, i), components(self)))
+
+
+def components(t) -> list | tuple | frozenset:
+    """The parts of a container: the fields of a PermValue, in declaration
+    order, or the elements of a tuple, list or frozenset."""
+    if isinstance(t, PermValue):
+        return [getattr(t, name) for name in t.__match_args__]
+    if type(t) in _CONTAINERS:
+        return t
+    raise TypeError(f"no pointwise structure on {type(t).__name__}")
+
+
+def map_components(f: Callable, t):
+    """The container t rebuilt with each of its components x replaced by f(x)."""
+    if isinstance(t, PermValue):
+        return type(t)(*[f(getattr(t, name)) for name in t.__match_args__])
+    return type(t)(map(f, components(t)))
 
 
 def apply(p: Permutation, t):
     """p . t for any permutation value."""
+    if isinstance(t, _TRIVIAL):
+        return t
     if hasattr(t, "perm_apply"):
         return t.perm_apply(p)
-    if isinstance(t, tuple):
-        return tuple(apply(p, x) for x in t)
-    if isinstance(t, list):
-        return [apply(p, x) for x in t]
-    if t is None or isinstance(t, (bool, int, str)):
-        return t
-    raise TypeError(f"no permutation action for {type(t).__name__}")
+    return map_components(partial(apply, p), t)
 
 
 def supp(t) -> NameSet:
+    if isinstance(t, _TRIVIAL):
+        return NameSet.empty()
     if hasattr(t, "support"):
         return t.support()
-    if isinstance(t, (tuple, list)):
-        return union_all(*(supp(x) for x in t))
-    if t is None or isinstance(t, (bool, int, str)):
-        return NameSet.empty()
-    raise TypeError(f"no support for {type(t).__name__}")
+    return union_all(*map(supp, components(t)))
 
 
 def is_fresh(a: Atom, t) -> bool:
@@ -53,7 +94,7 @@ def is_fresh(a: Atom, t) -> bool:
 
 
 @dataclass(frozen=True)
-class IndexedFamily:
+class IndexedFamily(PermValue):
     """A map from naturals to values with finite support: an explicit
     prefix of entries and a default for every index past it.
 
@@ -76,32 +117,9 @@ class IndexedFamily:
     def parts(self) -> tuple:
         return self.entries + (self.default,)
 
-    def perm_apply(self, p: Permutation) -> IndexedFamily:
-        return IndexedFamily(tuple(apply(p, e) for e in self.entries), apply(p, self.default))
-
-    def support(self) -> NameSet:
-        return union_all(*(supp(x) for x in self.parts()))
-
-    # Pointwise locally nameless structure; indices are not levels here,
-    # so there is no shift.
-    def open_at(self, i: int, x: Atom) -> IndexedFamily:
-        from .binding import open_at
-
-        return IndexedFamily(tuple(open_at(i, x, e) for e in self.entries), open_at(i, x, self.default))
-
-    def close_at(self, i: int, x: Atom) -> IndexedFamily:
-        from .binding import close_at
-
-        return IndexedFamily(tuple(close_at(i, x, e) for e in self.entries), close_at(i, x, self.default))
-
-    def lc_at(self, i: int) -> bool:
-        from .binding import lc_at
-
-        return all(lc_at(i, e) for e in self.parts())
-
 
 @dataclass(frozen=True)
-class FiniteTermSet:
+class FiniteTermSet(PermValue):
     """A finite set of permutation values (hashable, canonical, duplicate-free)."""
 
     elements: frozenset = field(default=frozenset())
@@ -109,24 +127,3 @@ class FiniteTermSet:
     @classmethod
     def of(cls, elems: Iterable) -> FiniteTermSet:
         return cls(frozenset(elems))
-
-    def perm_apply(self, p: Permutation) -> FiniteTermSet:
-        return FiniteTermSet(frozenset(apply(p, e) for e in self.elements))
-
-    def support(self) -> NameSet:
-        return union_all(*(supp(e) for e in self.elements))
-
-    def open_at(self, i: int, x: Atom) -> FiniteTermSet:
-        from .binding import open_at
-
-        return FiniteTermSet(frozenset(open_at(i, x, e) for e in self.elements))
-
-    def close_at(self, i: int, x: Atom) -> FiniteTermSet:
-        from .binding import close_at
-
-        return FiniteTermSet(frozenset(close_at(i, x, e) for e in self.elements))
-
-    def lc_at(self, i: int) -> bool:
-        from .binding import lc_at
-
-        return all(lc_at(i, e) for e in self.elements)

@@ -200,6 +200,34 @@ def test_check_deriv_rejects_a_non_natural_index(capsys, tmp_path, process, wher
     assert err == f"syntax error: {deriv} is not a derivation file (at position 0)\n"
 
 
+WITNESS_IN_ITS_AVOID_SET = {"L": {"mod": 1, "res": [], "add": [5], "remove": []}, "witness": 5}
+
+
+@pytest.mark.parametrize(
+    "process, rule, key, value, message",
+    [
+        ("new n. c!n. 0 | c?(x). x!x. 0", "Close-L", "side", {"atom": 7}, "takes no side data"),
+        ("new n. c!n. 0 | c?(x). x!x. 0", "Par-L", "side", 3, "takes no side data"),
+        ("new n. c!n. 0 | c?(x). x!x. 0", "Par-L", "cofinite", WITNESS_IN_ITS_AVOID_SET,
+         "takes no cofinite witness record"),
+        ("new n. c!n. 0", "Open", "cofinite", WITNESS_IN_ITS_AVOID_SET, "takes no cofinite witness record"),
+    ],
+    ids=["close-side", "par-side", "par-cofinite", "open-cofinite"],
+)
+def test_check_deriv_rejects_data_the_rule_takes_none_of(capsys, tmp_path, process, rule, key, value,
+                                                        message) -> None:
+    deriv = tmp_path / "derivs.json"
+    run(capsys, "step", "-e", "c", process, "--deriv", str(deriv))
+    node = next(d for d in json.loads(deriv.read_text()) if d["rule"] == rule)
+    deriv.write_text(json.dumps([node]))
+    assert run(capsys, "check-deriv", str(deriv))[0] == 0
+    node[key] = value
+    deriv.write_text(json.dumps([node]))
+    code, out, err = run(capsys, "check-deriv", str(deriv))
+    assert (code, out) == (5, "")
+    assert err == f"check failed: RuleShape at root: rule {rule} {message}\n"
+
+
 def test_step_writes_compact_json_with_sorted_keys(capsys, tmp_path) -> None:
     deriv = tmp_path / "derivs.json"
     run(capsys, "step", "-e", "c", "--fuel", "2", SERVER, "--deriv", str(deriv))

@@ -6,9 +6,10 @@ from functools import reduce
 import pytest
 
 from lnpi import lts, props
-from lnpi.atoms import Atom, swap
-from lnpi.gen import rand_config
+from lnpi.atoms import Atom, Permutation, swap
+from lnpi.gen import rand_atom, rand_config, rand_family, rand_perm, rand_term_set
 from lnpi.lts import (
+    Action,
     BoundOutput,
     CheckError,
     Cofinite,
@@ -22,6 +23,7 @@ from lnpi.lts import (
     Output,
     Tau,
     Trace,
+    TraceStep,
     Transition,
     action_from_json,
     check,
@@ -33,9 +35,9 @@ from lnpi.lts import (
     step,
     weaken,
 )
-from lnpi.namesets import NameSet
+from lnpi.namesets import NameSet, union_all
 from lnpi.parsing import parse
-from lnpi.permtypes import IndexedFamily, is_fresh
+from lnpi.permtypes import FiniteTermSet, IndexedFamily, apply, is_fresh, supp
 from lnpi.pisyntax import Bound, Free, Inp, Nil, Out, Par, Rep, Res, Sum, free_names
 
 a = [Atom(i) for i in range(12)]
@@ -347,6 +349,111 @@ def walk(d: Derivation):
         yield from walk(q)
 
 
+# ------------- the derived permutation action and support -------------
+
+# The records' hand-written perm_apply/support bodies from before PermValue
+# derived them from the fields: the reference the derived methods must match.
+
+
+def ref_action_perm(act: Action, p: Permutation) -> Action:
+    match act:
+        case Tau():
+            return act
+        case Input(c, n):
+            return Input(p(c), p(n))
+        case Output(c, n):
+            return Output(p(c), p(n))
+        case BoundOutput(c, n):
+            return BoundOutput(p(c), p(n))
+    raise TypeError(f"not an action: {act!r}")
+
+
+def ref_action_support(act: Action) -> NameSet:
+    if isinstance(act, Tau):
+        return NameSet.empty()
+    return NameSet.finite([act.chan, act.name])
+
+
+def ref_config_perm(cfg: Config, p: Permutation) -> Config:
+    return Config(cfg.env.perm_apply(p), cfg.proc.perm_apply(p))
+
+
+def ref_transition_perm(t: Transition, p: Permutation) -> Transition:
+    return Transition(ref_config_perm(t.src, p), ref_action_perm(t.action, p), ref_config_perm(t.dst, p))
+
+
+def ref_transition_support(t: Transition) -> NameSet:
+    return union_all(t.src.support(), ref_action_support(t.action), t.dst.support())
+
+
+def ref_cofinite_perm(c: Cofinite, p: Permutation) -> Cofinite:
+    return Cofinite(c.avoid.perm_apply(p), p(c.witness))
+
+
+def ref_derivation_perm(d: Derivation, p: Permutation) -> Derivation:
+    return Derivation(
+        d.rule,
+        ref_transition_perm(d.conclusion, p),
+        tuple(ref_derivation_perm(q, p) for q in d.premises),
+        ref_cofinite_perm(d.cofinite, p) if d.cofinite else None,
+        p(d.side) if isinstance(d.side, Atom) else d.side,
+    )
+
+
+def ref_trace_step_perm(s: TraceStep, p: Permutation) -> TraceStep:
+    return TraceStep(ref_action_perm(s.action, p), ref_config_perm(s.config, p), ref_derivation_perm(s.deriv, p))
+
+
+def perm_corpus(monkeypatch, seed: int) -> tuple[list[Derivation], list[Permutation]]:
+    """The fuel-2 rand_config and lts-lemmas derivations, each with a random
+    permutation and a swap of one of its atoms with an atom of the pool."""
+    rng = random.Random(seed)
+    corpus = [(rand_config(rng), 2) for _ in range(150)] + lts_lemmas_configs(monkeypatch)
+    derivs = [d for cfg, fuel in corpus for _, d in step(cfg, fuel).results]
+    assert len(derivs) > 500
+    perms = [rand_perm(rng) for _ in derivs]
+    swaps = [swap(rng.choice(d.support().atoms()), rand_atom(rng)) for d in derivs]
+    return derivs + derivs, perms + swaps
+
+
+def test_derived_action_and_support_match_the_hand_written_ones(monkeypatch) -> None:
+    derivs, perms = perm_corpus(monkeypatch, 71)
+    assert {q.rule for d in derivs for q in walk(d)} >= {"Res", "Open", "Close-L", "Close-R", "Sum"}
+    for d, p in zip(derivs, perms):
+        assert d.perm_apply(p) == ref_derivation_perm(d, p), (d, p)
+        s = TraceStep(d.conclusion.action, d.conclusion.dst, d)
+        assert s.perm_apply(p) == ref_trace_step_perm(s, p)
+        for q in walk(d):
+            assert q.conclusion.support() == ref_transition_support(q.conclusion)
+            assert q.conclusion.action.support() == ref_action_support(q.conclusion.action)
+
+
+def test_support_is_equivariant_on_every_record(monkeypatch) -> None:
+    derivs, perms = perm_corpus(monkeypatch, 73)
+    rng = random.Random(73)
+    seen = set()
+    for d, p in zip(derivs, perms):
+        t = d.conclusion
+        values = [d, t, t.src, t.action, TraceStep(t.action, t.dst, d), d.cofinite]
+        values += [rand_family(rng, rand_atom), rand_term_set(rng)]
+        for v in filter(None, values):
+            seen.add(type(v))
+            assert supp(apply(p, v)) == apply(p, supp(v)), (v, p)
+    assert seen == {Tau, Input, Output, BoundOutput, Config, Transition, Cofinite, Derivation, TraceStep,
+                    IndexedFamily, FiniteTermSet}
+
+
+def test_config_and_cofinite_support_is_the_set_itself() -> None:
+    # Not the set's support: that is every atom for a periodic set and the
+    # complement for a cofinite one.
+    odd = NameSet.periodic(2, [1])
+    assert supp(odd) == NameSet.all_atoms()
+    assert Config(odd, Nil()).support() == odd
+    co = NameSet.cofinite([a[0]])
+    assert supp(co) == fin(0)
+    assert Cofinite(co, a[1]).support() == co
+
+
 # ------------- canonical fresh witnesses -------------
 
 
@@ -491,6 +598,28 @@ def test_checker_reports_the_failing_premise_path() -> None:
         check(bad)
     assert err.value.path == (0,)
     assert str(err.value) == "RuleShape at 0: unknown rule 'Frob'"
+
+
+def test_checker_requires_a_natural_sum_entry_index() -> None:
+    # True is an int equal to 1: it used to pass as entry 1.
+    cfg = Config(fin(0), Sum(IndexedFamily((Out(F(0), F(0), Nil()), Out(F(0), F(0), Nil())), Nil())))
+    d = next(d for _, d in step(cfg).results if d.side == 1)
+    check(d)
+    for side in (True, a[1], -1, None):
+        with pytest.raises(CheckError) as err:
+            check(Derivation(d.rule, d.conclusion, d.premises, d.cofinite, side))
+        assert (err.value.reason, err.value.message) == ("RuleShape", "sum derivation must record its entry index")
+
+
+def test_checker_rejects_side_data_and_cofinite_records_a_rule_takes_none_of() -> None:
+    d = res_example()
+    with pytest.raises(CheckError) as err:
+        check(Derivation(d.rule, d.conclusion, d.premises, d.cofinite, 0))
+    assert (err.value.reason, err.value.message) == ("RuleShape", "rule Res takes no side data")
+    t, _ = only(step(Config(fin(0), Out(F(0), F(1), Nil()))))
+    with pytest.raises(CheckError) as err:
+        check(Derivation("Out", t, (), Cofinite(fin(3), a[3])))
+    assert (err.value.reason, err.value.message) == ("RuleShape", "rule Out takes no cofinite witness record")
 
 
 def test_checker_accepts_any_received_name_in_inputs() -> None:

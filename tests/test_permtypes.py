@@ -3,9 +3,11 @@ import random
 import pytest
 
 from lnpi.atoms import Atom, compose, identity, swap
-from lnpi.gen import rand_nameset, rand_perm
-from lnpi.namesets import NameSet
+from lnpi.binding import close_at, lc_at, lc_cofinite, open_at
+from lnpi.gen import rand_atom, rand_family, rand_nameset, rand_open_term, rand_perm
+from lnpi.namesets import NameSet, union_all
 from lnpi.permtypes import FiniteTermSet, IndexedFamily, apply, is_fresh, supp
+from lnpi.pisyntax import Bound, Free, Nil, Out
 
 a = [Atom(i) for i in range(10)]
 
@@ -147,3 +149,43 @@ def test_support_is_equivariant_on_containers() -> None:
         t = (rand_nameset(rng), (Atom(rng.randrange(8)),))
         p = rand_perm(rng)
         assert supp(apply(p, t)) == supp(t).perm_apply(p)
+
+
+def test_frozensets_are_containers_and_sets_are_not() -> None:
+    p = swap(a[0], a[1])
+    assert apply(p, frozenset({a[0], a[2]})) == frozenset({a[1], a[2]})
+    assert supp(frozenset({a[0], (a[2], a[3])})) == NameSet.finite([a[0], a[2], a[3]])
+    opened = open_at(0, a[3], frozenset({Out(Bound(0), Free(a[1]), Nil())}))
+    assert opened == frozenset({Out(Free(a[3]), Free(a[1]), Nil())})
+    for generic in (lambda v: apply(p, v), supp, lambda v: open_at(0, a[3], v)):
+        with pytest.raises(TypeError):
+            generic({a[0]})
+
+
+# ------------- the derived structure of the containers -------------
+
+# IndexedFamily's and FiniteTermSet's hand-written methods from before
+# PermValue derived them from the fields: the reference the derived ones must match.
+
+
+def ref_family(f: IndexedFamily, each) -> IndexedFamily:
+    return IndexedFamily(tuple(each(e) for e in f.entries), each(f.default))
+
+
+def ref_term_set(s: FiniteTermSet, each) -> FiniteTermSet:
+    return FiniteTermSet(frozenset(each(e) for e in s.elements))
+
+
+def test_derived_container_structure_matches_the_hand_written_one() -> None:
+    rng = random.Random(31)
+    for _ in range(300):
+        fam = rand_family(rng, lambda r: rand_open_term(r, depth=1))
+        terms = FiniteTermSet.of(rand_open_term(rng, depth=1) for _ in range(rng.randrange(4)))
+        p, x, i = rand_perm(rng), rand_atom(rng), rng.randrange(3)
+        for v, ref, elems in ((fam, ref_family, fam.parts()), (terms, ref_term_set, terms.elements)):
+            assert v.perm_apply(p) == ref(v, lambda e: apply(p, e))
+            assert v.open_at(i, x) == ref(v, lambda e: open_at(i, x, e))
+            assert v.close_at(i, x) == ref(v, lambda e: close_at(i, x, e))
+            assert v.support() == union_all(*(supp(e) for e in elems))
+            assert v.lc_at(i) == all(lc_at(i, e) for e in elems)
+            assert lc_cofinite(v) == all(lc_cofinite(e) for e in elems)
