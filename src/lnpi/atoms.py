@@ -35,13 +35,6 @@ def is_natural(x) -> bool:
     return type(x) is int and x >= 0
 
 
-def atom_from_json(x) -> Atom:
-    """Decode an atom index read from JSON; raises ValueError unless is_natural(x)."""
-    if not is_natural(x):
-        raise ValueError(f"an atom index must be a natural number, got {x!r}")
-    return Atom(x)
-
-
 @dataclass(frozen=True)
 class Permutation:
     """A bijection on atoms moving only finitely many of them.

@@ -15,7 +15,8 @@ import json
 import re
 import sys
 
-from .atoms import Atom, Permutation, atom_from_json
+from .atoms import Atom, Permutation, is_natural
+from .codec import DecodeError
 from .lts import (
     Action,
     BoundOutput,
@@ -119,13 +120,13 @@ def _load_json(path: str):
         raise ParseError(f"cannot read {path}: {e}", 0) from e
 
 
-def _decoded(path: str, what: str, decode):
-    """decode(), with any failure to decode reported as a syntax error in path."""
+def _decoded(path: str, what: str, read):
+    """read(), with a file of the wrong shape reported as a syntax error in path."""
     try:
-        return decode()
+        return read()
     except RecursionError as e:
         raise ParseError(f"{path} is nested too deeply", 0) from e
-    except (AttributeError, KeyError, TypeError, ValueError) as e:
+    except DecodeError as e:
         raise ParseError(f"{path} is not a {what}", 0) from e
 
 
@@ -133,8 +134,14 @@ def _names_json(symtab: Symtab) -> dict[str, int]:
     return {ident: atom.index for ident, atom in symtab.items()}
 
 
-def _names_from_json(data: dict) -> Symtab:
-    return {ident: atom_from_json(i) for ident, i in data.items()}
+def _names_from_json(data) -> Symtab:
+    """A trace file's names table: identifiers, each naming its own atom."""
+    if not (type(data) is dict and all(re.fullmatch(_ID, k) for k in data)
+            and all(map(is_natural, data.values()))):
+        raise DecodeError("expected an object from identifiers to atom indices").at("names")
+    if len(set(data.values())) < len(data):
+        raise DecodeError("two identifiers name one atom").at("names")
+    return {ident: Atom(i) for ident, i in data.items()}
 
 
 # ------------- commands -------------
@@ -202,12 +209,15 @@ def cmd_trace(args) -> int:
 def cmd_rename(args) -> int:
     data = _load_json(args.trace)
 
-    def decode():
+    def read():
+        # The names table is the CLI's, beside the trace that the library writes.
+        names = data.pop("names", {}) if type(data) is dict else {}
         trace = Trace.from_json(data)
-        # a non-finite start raises in atoms()
-        return _names_from_json(data.get("names", {})), trace, trace.start.support().atoms()
+        if not trace.start.env.is_finite():
+            raise DecodeError("expected a finite environment").at("env").at("start")
+        return _names_from_json(names), trace, trace.start.support().atoms()
 
-    symtab, trace, reserved = _decoded(args.trace, "trace file", decode)
+    symtab, trace, reserved = _decoded(args.trace, "trace file", read)
     n = intern(symtab, args.old, reserved)
     m = intern(symtab, args.new, reserved)
     try:

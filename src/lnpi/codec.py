@@ -1,0 +1,227 @@
+"""One JSON codec for every record, derived from its declared fields.
+
+A record is a dataclass deriving from ``Record``: an object with a key per
+field in ``__match_args__``, and ``"tag"`` if the class declares one.
+``json_keys`` gives each key that differs from its field: a name, or a
+dict laying a dataclass-valued field's fields out under their own names.
+A ``Record`` base that is not a dataclass is the union of its dataclass
+subclasses, told apart by tag or else by key set.  Field kinds come from
+the annotations, resolved once per class: ``str``, a natural ``int``,
+``Atom``, ``tuple[X, ...]``, a union (bare for its first alternative but
+None, ``{"atom": i}`` for a later ``Atom``), a record, or a leaf class
+with its own ``to_json``/``from_json``/``key``.  Decoding checks the tag,
+the exact key set and each kind, raising ``DecodeError`` with the JSON
+path; ``key()`` orders by the tag (or key set), then each field's key.
+"""
+
+from __future__ import annotations
+
+import types
+import typing
+from dataclasses import is_dataclass
+from functools import partial
+from itertools import islice
+from operator import attrgetter
+
+from .atoms import Atom
+
+# How values of one annotation are encoded, decoded and keyed (enc, dec, key);
+# a record's kind also holds its resolved fields, a union's its members.
+_Kind = types.SimpleNamespace
+
+
+class DecodeError(ValueError):
+    """A JSON value of another shape than the declared one; str() names its path."""
+
+    path = ""
+
+    def at(self, step: str | int) -> DecodeError:
+        """This error one level further out, under key or index step."""
+        self.path = f"/{step}{self.path}"
+        return self
+
+    def __str__(self) -> str:
+        return f"at {self.path or '/'}: {self.args[0]}"
+
+
+class Record:
+    """A value whose JSON form and sort key derive from its declaration.  Each
+    of to_json, from_json and key takes one Python frame per record."""
+
+    def to_json(self) -> dict:
+        kind = _KINDS.get(type(self)) or _kind(type(self))
+        out = {"tag": kind.tag} if kind.tag else {}
+        for key, get, enc in kind.encs:
+            out[key] = enc(get(self))
+        return out
+
+    @classmethod
+    def from_json(cls, data):
+        """The cls value that data writes; raises DecodeError on any other shape."""
+        return _kind(cls).dec(data)
+
+    def key(self) -> tuple:
+        kind = _KINDS.get(type(self)) or _kind(type(self))
+        out = [kind.first]
+        for get, key in kind.sorts:
+            out.append(key(get(self)))
+        return tuple(out)
+
+
+def _decode(kind: _Kind, data):  # a union's member is picked here, in the same frame
+    if type(data) is not dict:
+        raise DecodeError(f"expected an object, got {data!r:.40}")
+    if kind.members is not None:
+        try:
+            found = kind.members.get(data.get("tag") or frozenset(data))
+        except TypeError:  # an unhashable tag
+            found = None
+        if found is None:
+            what = f"tag {data['tag']!r:.40}" if "tag" in data else f"keys {sorted(data)}"
+            raise DecodeError(f"no {kind.cls.__name__} has the {what}")
+        kind = found
+    elif kind.tag and data.get("tag") != kind.tag:
+        raise DecodeError(f"expected the tag {kind.tag!r}").at("tag")
+    vals = []
+    try:  # every key read is there, and no other: exactly the keys
+        if len(data) != len(kind.keys):
+            raise KeyError
+        for key, dec in kind.decs:
+            vals.append(dec(data[key]))
+    except DecodeError as e:
+        raise e.at(kind.decs[len(vals)][0]) from None
+    except KeyError:
+        raise DecodeError(f"expected the keys {sorted(kind.keys)}, got {sorted(data)}") from None
+    return kind.build(*vals)
+
+
+def _string(x) -> str:
+    if type(x) is str:
+        return x
+    raise DecodeError(f"expected a string, got {x!r:.40}")
+
+
+def _natural(x) -> int:
+    if type(x) is int and x >= 0:  # atoms.is_natural, inlined here and in _atom: every index passes
+        return x
+    raise DecodeError(f"expected a natural number, got {x!r:.40}")
+
+
+# Decoded atoms of a small index are shared: a file names few atoms, many times.
+_ATOMS = tuple(map(Atom, range(64)))
+
+
+def _atom(x) -> Atom:
+    if type(x) is int and x >= 0:
+        return _ATOMS[x] if x < 64 else Atom(x)
+    raise DecodeError(f"expected an atom index, got {x!r:.40}")
+
+
+_index = attrgetter("index")
+# Every kind, by annotation: derived from the classes alone, so one table serves every caller.
+# str and int encode and key their own values as themselves, without a Python frame.
+_KINDS: dict = {
+    str: _Kind(enc=str, dec=_string, key=str),
+    int: _Kind(enc=int, dec=_natural, key=int),
+    Atom: _Kind(enc=_index, dec=_atom, key=_index),
+}
+
+
+def _kind(tp) -> _Kind:
+    kind = _KINDS.get(tp)
+    if kind is not None:
+        return kind
+    if isinstance(tp, type) and issubclass(tp, Record):
+        # Registered before its fields resolve, since a record may hold itself.
+        kind = _KINDS[tp] = _Kind(enc=Record.to_json, key=Record.key, members=None)
+        kind.dec = partial(_decode, kind)
+        (_record if is_dataclass(tp) else _union_of)(tp, kind)
+        return kind
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is tuple and args[1:] == (...,):
+        kind = _array(_kind(args[0]))
+    elif origin in (typing.Union, types.UnionType):
+        kind = _union([a for a in args if a is not type(None)], type(None) in args)
+    elif isinstance(tp, type) and hasattr(tp, "from_json"):
+        kind = _Kind(enc=tp.to_json, dec=tp.from_json, key=tp.key)
+    else:
+        raise TypeError(f"no JSON form for {tp!r}")
+    _KINDS[tp] = kind
+    return kind
+
+
+def _array(item: _Kind) -> _Kind:
+    def dec(data) -> tuple:
+        if type(data) is not list:
+            raise DecodeError(f"expected an array, got {data!r:.40}")
+        out = []
+        try:
+            for x in data:
+                out.append(item.dec(x))
+        except DecodeError as e:
+            raise e.at(len(out)) from None
+        return tuple(out)
+
+    return _Kind(enc=lambda xs: list(map(item.enc, xs)), dec=dec, key=lambda xs: tuple(map(item.key, xs)))
+
+
+def _union(alts: list, optional: bool) -> _Kind:
+    # No keyed record holds a union, so it has no sort key.
+    first = _kind(alts[0])
+    wrapped = {a.__name__.lower(): (a, _kind(a)) for a in alts[1:]}
+
+    def enc(x):
+        for name, (a, kind) in wrapped.items():
+            if isinstance(x, a):
+                return {name: kind.enc(x)}
+        return None if x is None else first.enc(x)
+
+    def dec(data):
+        if data is None and optional:
+            return None
+        if type(data) is dict and len(data) == 1 and next(iter(data)) in wrapped:
+            (name, value), = data.items()
+            try:
+                return wrapped[name][1].dec(value)
+            except DecodeError as e:
+                raise e.at(name) from None
+        return first.dec(data)
+
+    return _Kind(enc=enc, dec=dec, key=None)
+
+
+def _record(cls: type, kind: _Kind) -> None:
+    hints, declared = typing.get_type_hints(cls), getattr(cls, "json_keys", {})
+    fields, layout = [], []  # (key, attribute path, annotation); per argument, what gathers it
+    for name in cls.__match_args__:
+        key = declared.get(name, name)
+        if isinstance(key, dict):  # the field's own fields, each under its name
+            fields += [(k, f"{name}.{k}", tp) for k, tp in key.items()]
+            layout.append((hints[name], len(key)))
+        else:
+            fields.append((key, name, hints[name]))
+            layout.append((None, 1))
+    # The tag and keys come first: a union resolving among the fields looks them up.
+    kind.cls, kind.build, kind.tag = cls, cls, getattr(cls, "tag", None)
+    kind.keys = frozenset(k for k, _, _ in fields) | ({"tag"} if kind.tag else set())
+    kind.first = kind.tag or tuple(sorted(kind.keys))
+    kinds = [_kind(tp) for _, _, tp in fields]
+    kind.encs = [(key, attrgetter(path), f.enc) for (key, path, _), f in zip(fields, kinds)]
+    kind.decs = [(key, f.dec) for (key, _, _), f in zip(fields, kinds)]
+    kind.sorts = [(attrgetter(path), f.key) for (_, path, _), f in zip(fields, kinds)]
+    if any(make for make, _ in layout):
+        def build(*vals):
+            rest = iter(vals)
+            return cls(*[next(rest) if make is None else make(*islice(rest, n)) for make, n in layout])
+
+        kind.build = build
+
+
+def _union_of(base: type, kind: _Kind) -> None:
+    kind.cls, kind.members, todo = base, {}, [base]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if is_dataclass(sub):
+                member = _kind(sub)
+                kind.members[member.tag or member.keys] = member

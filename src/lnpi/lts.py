@@ -25,7 +25,8 @@ import json
 from dataclasses import dataclass
 from itertools import groupby
 
-from .atoms import Atom, Permutation, atom_from_json, is_natural, swap
+from .atoms import Atom, Permutation, is_natural, swap
+from .codec import Record
 from .namesets import NameSet, fresh, union_all
 from .permtypes import PermValue, is_fresh
 from .pisyntax import (
@@ -41,8 +42,6 @@ from .pisyntax import (
     Term,
     free_names,
     term_atom_list,
-    term_from_json,
-    term_key,
     term_lc_at,
     term_size,
 )
@@ -72,7 +71,7 @@ class NoSuchTransition(Exception):
 
 @dataclass(frozen=True)
 class CheckError(Exception):
-    reason: str  # WitnessInL | FreshnessViolated | EnvMismatch | RuleShape
+    reason: str  # WitnessInL | FreshnessViolated | EnvMismatch | RuleShape | TraceMismatch
     path: tuple[int, ...]  # premise indices from the root
     message: str
 
@@ -84,23 +83,14 @@ class CheckError(Exception):
 # ------------- actions -------------
 
 
-class Action(PermValue):
+class Action(PermValue, Record):
     tag: str  # the JSON tag, one per subclass; all but Tau carry a channel and a name
-
-    def to_json(self) -> dict:
-        return {"tag": self.tag, "c": self.chan.index, "n": self.name.index}
-
-    def key(self):
-        data = self.to_json()
-        return (data["tag"], data.get("c", -1), data.get("n", -1))
+    json_keys = {"chan": "c", "name": "n"}
 
 
 @dataclass(frozen=True)
 class Tau(Action):
     tag = "tau"
-
-    def to_json(self) -> dict:
-        return {"tag": self.tag}
 
 
 @dataclass(frozen=True)
@@ -124,11 +114,7 @@ class BoundOutput(Action):
     name: Atom  # the extruded name; never equals the channel
 
 
-def action_from_json(data: dict) -> Action:
-    for cls in (Tau, Input, Output, BoundOutput):
-        if cls.tag == data["tag"]:
-            return cls() if cls is Tau else cls(atom_from_json(data["c"]), atom_from_json(data["n"]))
-    raise ValueError(f"unknown action tag: {data['tag']!r}")
+action_from_json = Action.from_json
 
 
 def extr(a: Action) -> NameSet:
@@ -142,7 +128,7 @@ def extr(a: Action) -> NameSet:
 
 
 @dataclass(frozen=True)
-class Config(PermValue):
+class Config(PermValue, Record):
     env: NameSet
     proc: Term
 
@@ -150,44 +136,21 @@ class Config(PermValue):
         # The environment itself, not its support: they differ on infinite sets.
         return self.env.union(free_names(self.proc))
 
-    def key(self):
-        return (_nameset_key(self.env), term_key(self.proc))
-
-    def to_json(self) -> dict:
-        return {"env": self.env.to_json(), "proc": self.proc.to_json()}
-
-    @classmethod
-    def from_json(cls, data: dict) -> Config:
-        return cls(NameSet.from_json(data["env"]), term_from_json(data["proc"]))
-
-
-def _nameset_key(s: NameSet):
-    return (s.modulus, tuple(sorted(s.residues)), s.exceptions)
-
 
 @dataclass(frozen=True)
-class Transition(PermValue):
+class Transition(PermValue, Record):
     src: Config
     action: Action
     dst: Config
 
     def key(self):
+        # Every caller orders transitions of one source, so the source is left out.
         return (self.action.key(), self.dst.key())
-
-    def to_json(self) -> dict:
-        return {"src": self.src.to_json(), "action": self.action.to_json(), "dst": self.dst.to_json()}
-
-    @classmethod
-    def from_json(cls, data: dict) -> Transition:
-        return cls(
-            Config.from_json(data["src"]),
-            action_from_json(data["action"]),
-            Config.from_json(data["dst"]),
-        )
 
 
 @dataclass(frozen=True)
-class Cofinite(PermValue):
+class Cofinite(PermValue, Record):
+    json_keys = {"avoid": "L"}
     avoid: NameSet  # the finite set the quantified name must stay out of
     witness: Atom
 
@@ -197,12 +160,12 @@ class Cofinite(PermValue):
 
 
 @dataclass(frozen=True)
-class Derivation(PermValue):
+class Derivation(PermValue, Record):
     rule: str
     conclusion: Transition
     premises: tuple[Derivation, ...] = ()
     cofinite: Cofinite | None = None
-    side: int | Atom | None = None  # Sum: entry index; Open: extruded atom
+    side: int | Atom | None = None  # Sum: entry index; Open: extruded atom, written {"atom": i}
 
     def support(self) -> NameSet:
         # Kept to walk the tree once, with an explicit stack, not to union per
@@ -226,73 +189,18 @@ class Derivation(PermValue):
             stack += d.premises
         return union_all(NameSet.finite(atoms), *sets)
 
-    def to_json(self) -> dict:
-        side = self.side
-        if isinstance(side, Atom):
-            side = {"atom": side.index}
-        return {
-            "rule": self.rule,
-            "conclusion": self.conclusion.to_json(),
-            "premises": [q.to_json() for q in self.premises],
-            "cofinite": (
-                {"L": self.cofinite.avoid.to_json(), "witness": self.cofinite.witness.index}
-                if self.cofinite
-                else None
-            ),
-            "side": side,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> Derivation:
-        cof = data.get("cofinite")
-        side = data.get("side")
-        if isinstance(side, dict):
-            side = atom_from_json(side["atom"])
-        elif not (side is None or is_natural(side)):
-            raise ValueError(f"side must be null, an entry index or an atom, got {side!r}")
-        return cls(
-            data["rule"],
-            Transition.from_json(data["conclusion"]),
-            tuple(cls.from_json(q) for q in data["premises"]),
-            Cofinite(NameSet.from_json(cof["L"]), atom_from_json(cof["witness"])) if cof else None,
-            side,
-        )
-
 
 @dataclass(frozen=True)
-class TraceStep(PermValue):
+class TraceStep(PermValue, Record):
     action: Action
     config: Config
     deriv: Derivation
 
 
 @dataclass(frozen=True)
-class Trace:
+class Trace(Record):
     start: Config
     steps: tuple[TraceStep, ...] = ()
-
-    def to_json(self) -> dict:
-        return {
-            "start": self.start.to_json(),
-            "steps": [
-                {"action": s.action.to_json(), "config": s.config.to_json(), "deriv": s.deriv.to_json()}
-                for s in self.steps
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> Trace:
-        return cls(
-            Config.from_json(data["start"]),
-            tuple(
-                TraceStep(
-                    action_from_json(s["action"]),
-                    Config.from_json(s["config"]),
-                    Derivation.from_json(s["deriv"]),
-                )
-                for s in data["steps"]
-            ),
-        )
 
 
 @dataclass(frozen=True)
@@ -850,6 +758,17 @@ def replay(start: Config, actions: list[Action], fuel: int = 8) -> Trace:
 
 
 def rename_trace(t: Trace, n: Atom, m: Atom, extra_witnesses: int = 1) -> Trace:
+    """Swap n and m through t, after checking that its steps chain: each
+    step's derivation goes from the previous configuration, by the step's
+    action, to the step's configuration."""
+    cfg = t.start
+    for i, s in enumerate(t.steps):
+        concl = s.deriv.conclusion
+        for what, got, want in (("source", concl.src, cfg), ("action", concl.action, s.action),
+                                ("destination", concl.dst, s.config)):
+            if got != want:
+                _fail("TraceMismatch", (), f"step {i}: the derivation's {what} is not the trace's")
+        cfg = s.config
     if n == m:
         return t
     base = t.start.support()

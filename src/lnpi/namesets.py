@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from itertools import count, filterfalse, islice
 from typing import Iterable
 
-from .atoms import Atom, Permutation, is_natural
+from .atoms import Atom, Permutation
+from .codec import DecodeError, Record
 
 
 class AllNamesAvoided(Exception):
@@ -215,22 +216,31 @@ class NameSet:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> NameSet:
-        """Decode to_json output; raises ValueError on a non-natural index or
-        a modulus outside 1..MAX_JSON_MODULUS."""
-        mod = data.get("mod", 1)
-        if not (is_natural(mod) and 1 <= mod <= MAX_JSON_MODULUS):
-            raise ValueError(f"mod must be an integer in 1..{MAX_JSON_MODULUS}, got {mod!r}")
-        res, add, remove = (list(data.get(key, [])) for key in ("res", "add", "remove"))
-        if not all(map(is_natural, res + add + remove)):
-            raise ValueError("residues and atom indices must be natural numbers")
-        exc = [(a, True) for a in add] + [(a, False) for a in remove]
-        return cls(mod, frozenset(res), tuple(exc))
+    def from_json(cls, data) -> NameSet:
+        """Decode to_json output: exactly its four keys, natural numbers
+        throughout and a modulus in 1..MAX_JSON_MODULUS; raises DecodeError
+        on anything else."""
+        j = _Json.from_json(data)
+        if not 1 <= j.mod <= MAX_JSON_MODULUS:
+            raise DecodeError(f"expected a modulus in 1..{MAX_JSON_MODULUS}, got {j.mod}").at("mod")
+        exc = [(a, True) for a in j.add] + [(a, False) for a in j.remove]
+        return cls(j.mod, frozenset(j.res), tuple(exc))
+
+    def key(self) -> tuple:
+        return (self.modulus, tuple(sorted(self.residues)), self.exceptions)
 
 
 # Bounds the moduli a name-set file may carry: combining two periodic sets
 # scans the lcm of their moduli, and minimising a modulus is quadratic in it.
 MAX_JSON_MODULUS = 64
+
+
+@dataclass(frozen=True)
+class _Json(Record):  # the JSON form of a NameSet, which from_json decodes through
+    mod: int
+    res: tuple[int, ...]
+    add: tuple[int, ...]
+    remove: tuple[int, ...]
 
 
 def union_all(*sets: NameSet) -> NameSet:

@@ -36,7 +36,13 @@ class PermValue:
         return map_components(partial(apply, p), self)
 
     def support(self) -> NameSet:
-        return union_all(*map(supp, components(self)))
+        # The atom components go into one finite set, not one set each.
+        parts = components(self)
+        sets = [supp(x) for x in parts if type(x) is not Atom]
+        atoms = [x for x in parts if type(x) is Atom]
+        if atoms:
+            sets.append(NameSet.finite(atoms))
+        return sets[0] if len(sets) == 1 else union_all(*sets)
 
     def open_at(self, i: int, x: Atom) -> Any:
         from .binding import open_at

@@ -23,17 +23,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .atoms import Atom, Permutation, is_natural
+from .atoms import Atom, Permutation
+from .codec import Record
 from .namesets import NameSet
 from .permtypes import IndexedFamily
 
 
-class Name:
-    """A channel or message occurrence: ``Free`` or ``Bound``."""
+class Name(Record):
+    """A channel or message occurrence: ``Free`` or ``Bound``, written
+    ``{"free": atom}`` or ``{"bound": level}``."""
 
 
 @dataclass(frozen=True)
 class Free(Name):
+    json_keys = {"atom": "free"}
     atom: Atom
 
     def open_at(self, i: int, x: Atom) -> Name:
@@ -51,12 +54,10 @@ class Free(Name):
     def support(self) -> NameSet:
         return NameSet.finite([self.atom])
 
-    def to_json(self):
-        return {"free": self.atom.index}
-
 
 @dataclass(frozen=True)
 class Bound(Name):
+    json_keys = {"level": "bound"}
     level: int
 
     def open_at(self, i: int, x: Atom) -> Name:
@@ -74,24 +75,11 @@ class Bound(Name):
     def support(self) -> NameSet:
         return NameSet.empty()
 
-    def to_json(self):
-        return {"bound": self.level}
+
+name_from_json = Name.from_json
 
 
-def name_from_json(data: dict) -> Name:
-    """Decode a name's to_json output: exactly one of "free" and "bound", with a
-    natural-number value; raises ValueError on anything else."""
-    if isinstance(data, dict) and len(data) == 1:
-        (kind, value), = data.items()
-        if is_natural(value):
-            if kind == "free":
-                return Free(Atom(value))
-            if kind == "bound":
-                return Bound(value)
-    raise ValueError(f"not a name: {data!r}")
-
-
-class Term:
+class Term(Record):
     def open_at(self, i: int, x: Atom) -> Term:
         return term_open_at(i, x, self)
 
@@ -110,28 +98,29 @@ class Term:
     def support(self) -> NameSet:
         return free_names(self)
 
-    def to_json(self) -> dict:
-        return term_to_json(self)
-
 
 @dataclass(frozen=True)
 class Nil(Term):
-    pass
+    tag = "nil"
 
 
 @dataclass(frozen=True)
 class Sum(Term):
+    tag = "sum"
+    json_keys = {"procs": {"entries": tuple[Term, ...], "default": Term}}
     procs: IndexedFamily  # countable choice: finite prefix + default
 
 
 @dataclass(frozen=True)
 class Inp(Term):
+    tag = "inp"
     chan: Name
     body: Term  # binds one level
 
 
 @dataclass(frozen=True)
 class Out(Term):
+    tag = "out"
     chan: Name
     msg: Name
     cont: Term
@@ -139,17 +128,20 @@ class Out(Term):
 
 @dataclass(frozen=True)
 class Par(Term):
+    tag = "par"
     left: Term
     right: Term
 
 
 @dataclass(frozen=True)
 class Res(Term):
+    tag = "res"
     body: Term  # binds one level
 
 
 @dataclass(frozen=True)
 class Rep(Term):
+    tag = "rep"
     body: Term
 
 
@@ -278,76 +270,5 @@ def par_factors(t: Term) -> list[Term]:
     return [t]
 
 
-def term_key(t: Term):
-    """A total-order key: the preorder walk as nested tuples."""
-    match t:
-        case Nil():
-            return ("nil",)
-        case Sum(f):
-            return ("sum", tuple(term_key(e) for e in f.entries), term_key(f.default))
-        case Inp(c, b):
-            return ("inp", _name_key(c), term_key(b))
-        case Out(c, m, k):
-            return ("out", _name_key(c), _name_key(m), term_key(k))
-        case Par(l, r):
-            return ("par", term_key(l), term_key(r))
-        case Res(b):
-            return ("res", term_key(b))
-        case Rep(b):
-            return ("rep", term_key(b))
-    raise TypeError(f"not a term: {t!r}")
-
-
-def _name_key(n: Name):
-    return ("free", n.atom.index) if isinstance(n, Free) else ("bound", n.level)
-
-
-def term_to_json(t: Term) -> dict:
-    match t:
-        case Nil():
-            return {"tag": "nil"}
-        case Sum(f):
-            return {
-                "tag": "sum",
-                "entries": [term_to_json(e) for e in f.entries],
-                "default": term_to_json(f.default),
-            }
-        case Inp(c, b):
-            return {"tag": "inp", "chan": c.to_json(), "body": term_to_json(b)}
-        case Out(c, m, k):
-            return {"tag": "out", "chan": c.to_json(), "msg": m.to_json(), "cont": term_to_json(k)}
-        case Par(l, r):
-            return {"tag": "par", "left": term_to_json(l), "right": term_to_json(r)}
-        case Res(b):
-            return {"tag": "res", "body": term_to_json(b)}
-        case Rep(b):
-            return {"tag": "rep", "body": term_to_json(b)}
-    raise TypeError(f"not a term: {t!r}")
-
-
-def term_from_json(data: dict) -> Term:
-    match data["tag"]:
-        case "nil":
-            return Nil()
-        case "sum":
-            return Sum(
-                IndexedFamily(
-                    tuple(term_from_json(e) for e in data["entries"]),
-                    term_from_json(data["default"]),
-                )
-            )
-        case "inp":
-            return Inp(name_from_json(data["chan"]), term_from_json(data["body"]))
-        case "out":
-            return Out(
-                name_from_json(data["chan"]),
-                name_from_json(data["msg"]),
-                term_from_json(data["cont"]),
-            )
-        case "par":
-            return Par(term_from_json(data["left"]), term_from_json(data["right"]))
-        case "res":
-            return Res(term_from_json(data["body"]))
-        case "rep":
-            return Rep(term_from_json(data["body"]))
-    raise ValueError(f"unknown term tag: {data['tag']!r}")
+# The codec's entry points under their names from before it derived them.
+term_key, term_to_json, term_from_json = Term.key, Term.to_json, Term.from_json
