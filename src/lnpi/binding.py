@@ -53,8 +53,8 @@ def lc(t) -> bool:
     return lc_at(0, t)
 
 
-def lc_cofinite(t, extra: int = 3) -> bool:
+def lc_cofinite(t) -> bool:
     """Local closure by the inductive binder-by-binder definition."""
     if hasattr(t, "lc_cofinite"):
-        return t.lc_cofinite(extra)
-    return all(lc_cofinite(e, extra) for e in components(t))
+        return t.lc_cofinite()
+    return all(map(lc_cofinite, components(t)))

@@ -54,7 +54,7 @@ _ACTION = re.compile(
 def _session(args) -> tuple[Config, Symtab]:
     symtab: Symtab = {}
     env_atoms = []
-    for chunk in getattr(args, "env", None) or []:
+    for chunk in args.env or []:
         for ident in chunk.split(","):
             ident = ident.strip()
             if ident:
@@ -268,8 +268,9 @@ def cmd_perm(args) -> int:
 def cmd_check_deriv(args) -> int:
     data = _load_json(args.file)
     listed = data if isinstance(data, list) else [data]
-    for entry in listed:
-        d = _decoded(args.file, "derivation file", lambda: Derivation.from_json(entry))
+    # Every entry is decoded before any is checked, so a malformed file prints no "ok".
+    derivs = _decoded(args.file, "derivation file", lambda: [Derivation.from_json(e) for e in listed])
+    for d in derivs:
         check(d, args.witnesses)
         print(f"ok [{d.rule}] {_action_str(d.conclusion.action, {})}")
     return 0
@@ -300,16 +301,15 @@ def _natural(text: str) -> int:
     return n
 
 
-def _add_process_args(sp, with_env: bool = True) -> None:
+def _add_process_args(sp) -> None:
     sp.add_argument("process", help="process text in the concrete grammar")
-    if with_env:
-        sp.add_argument(
-            "-e",
-            "--env",
-            action="append",
-            metavar="IDS",
-            help="observer-known channel names (comma separated, repeatable)",
-        )
+    sp.add_argument(
+        "-e",
+        "--env",
+        action="append",
+        metavar="IDS",
+        help="observer-known channel names (comma separated, repeatable)",
+    )
     sp.add_argument("--json", action="store_true", help="machine-readable output")
 
 

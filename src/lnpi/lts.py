@@ -9,6 +9,19 @@ checker validates node by node.  Cofinite premises are recorded as an
 avoid set plus the witness they were derived at; the checker re-derives
 them at extra fresh witnesses as equivariance evidence.
 
+The checker is one walk with an explicit stack, so a derivation's depth
+costs it no frames of its own (the permutation action that moves a node,
+and the term traversals, still recurse).  ``_check`` validates a single
+node: guards driven by a table of each rule's premise count and whether
+it takes side data or a cofinite record, then the rule's case, which
+compares the node with its premises' conclusions.  ``check`` visits a
+node, then its premises, then, for a cofinite node, that node moved to
+each extra fresh witness: the same conclusion over premises with the two
+witnesses swapped, checked with no extra witnesses of its own.  A moved
+node skips the guards, which its original passed, but not the rule's
+case; the nodes under it are checked in full.  A failure under a moved
+node is reported at the cofinite node.
+
 The enumerator ``_derivs`` is a pure function of (environment, process,
 fuel, avoid set), and replication makes it meet the same arguments many
 times over.  It therefore looks each argument tuple up in a memo table,
@@ -428,10 +441,51 @@ def _canonicalize(d: Derivation, base: NameSet) -> tuple[Transition, Derivation]
 
 # ------------- the checker -------------
 
+# Each rule's shape: its premise count, whether it records side data (Sum:
+# the entry index; Open: the extruded atom) and whether it records a
+# cofinite witness.
+_SHAPES = {
+    "Out": (0, False, False), "Inp": (0, False, False), "Sum": (1, True, False),
+    "Par-L": (1, False, False), "Par-R": (1, False, False), "Res": (1, False, True),
+    "Open": (1, True, False), "Comm-L": (2, False, False), "Comm-R": (2, False, False),
+    "Close-L": (2, False, True), "Close-R": (2, False, True), "Rep": (1, False, False),
+}
+_MOVE = object()  # check's marker: move the cofinite node at this entry's path
+
 
 def check(d: Derivation, extra_witnesses: int = 0) -> None:
     """Validate every node; raises CheckError on the first violation."""
-    _check(d, extra_witnesses, ())
+    # Entries are (node, extra witnesses, path, moved).  moved is None for
+    # the nodes of d, (path, w2) for a node moved to witness w2 and the
+    # nodes under it, and _MOVE for the cofinite node at path: that entry
+    # lies below its premises' entries, so it is reached once they passed.
+    todo = [(d, extra_witnesses, (), None)]
+    while todo:
+        d, extra, path, moved = todo.pop()
+        if moved is _MOVE:
+            witnesses = d.support().least_outside(extra)
+            todo += [(_moved(d, w2), 0, path, (path, w2)) for w2 in reversed(witnesses)]
+            continue
+        try:
+            # The guards are skipped at a moved node itself, not at the nodes under it.
+            _check(d, path, moved is not None and path == moved[0])
+        except CheckError as e:
+            if moved is None:
+                raise
+            at, w2 = moved
+            _fail("FreshnessViolated", at, f"premises not re-derivable at witness {w2!r}: {e}")
+        if extra and d.cofinite:
+            todo.append((d, extra, path, _MOVE))
+        for i in range(len(d.premises) - 1, -1, -1):
+            todo.append((d.premises[i], extra, path + (i,), moved))
+
+
+def _moved(d: Derivation, w2: Atom) -> Derivation:
+    """d re-derived at witness w2: the same conclusion, for which both
+    witnesses are fresh, over the premises with the witnesses swapped."""
+    sw = swap(d.cofinite.witness, w2)
+    return Derivation(d.rule, d.conclusion, tuple(p.perm_apply(sw) for p in d.premises),
+                      Cofinite(d.cofinite.avoid, w2), d.side)
 
 
 def _fail(reason: str, path: tuple[int, ...], message: str):
@@ -445,49 +499,41 @@ def _require_config(cfg: Config, path, what: str) -> None:
         _fail("RuleShape", path, f"{what} process is not locally closed")
 
 
-def _premise_count(d: Derivation, n: int, path) -> None:
-    if len(d.premises) != n:
-        _fail("RuleShape", path, f"rule {d.rule} expects {n} premise(s), got {len(d.premises)}")
-
-
-def _check_cofinite_node(d: Derivation, path) -> tuple[NameSet, Atom]:
-    if d.cofinite is None:
-        _fail("RuleShape", path, f"rule {d.rule} needs a cofinite witness record")
-    w = d.cofinite.witness
-    if not d.cofinite.avoid.is_finite():
-        _fail("RuleShape", path, "the avoid set must be finite")
-    if d.cofinite.avoid.member(w):
-        _fail("WitnessInL", path, f"witness {w!r} lies in the avoid set")
-    if d.conclusion.support().member(w):
-        _fail("FreshnessViolated", path, f"witness {w!r} occurs in the conclusion")
-    return d.cofinite.avoid, w
-
-
-# Every rule, and the ones that record side data (Sum: the entry index; Open:
-# the extruded atom) or a cofinite record; the other rules take neither.
-_RULES = ("Out", "Inp", "Sum", "Par-L", "Par-R", "Res", "Open",
-          "Comm-L", "Comm-R", "Close-L", "Close-R", "Rep")
-_SIDE_RULES = ("Sum", "Open")
-_COFINITE_RULES = ("Res", "Close-L", "Close-R")
-
-
-def _check(d: Derivation, extra: int, path: tuple[int, ...]) -> None:
-    if d.rule not in _RULES:
-        _fail("RuleShape", path, f"unknown rule {d.rule!r}")
-    if d.side is not None and d.rule not in _SIDE_RULES:
-        _fail("RuleShape", path, f"rule {d.rule} takes no side data")
-    if d.cofinite is not None and d.rule not in _COFINITE_RULES:
-        _fail("RuleShape", path, f"rule {d.rule} takes no cofinite witness record")
+def _check(d: Derivation, path: tuple[int, ...], moved: bool = False) -> None:
+    """Validate the node d against its rule; its premises are compared with
+    it but not checked themselves.  A moved node skips the guards: they
+    passed on the node it was moved from, which differs only in its premises
+    and in a witness picked outside its avoid set and its conclusion."""
     t = d.conclusion
-    _require_config(t.src, path, "source")
-    _require_config(t.dst, path, "destination")
-    if isinstance(t.action, BoundOutput) and t.action.chan == t.action.name:
-        _fail("RuleShape", path, "bound output must extrude a name other than its channel")
+    w = d.cofinite and d.cofinite.witness
+    if not moved:
+        shape = _SHAPES.get(d.rule)
+        if shape is None:
+            _fail("RuleShape", path, f"unknown rule {d.rule!r}")
+        count, takes_side, takes_cofinite = shape
+        if d.side is not None and not takes_side:
+            _fail("RuleShape", path, f"rule {d.rule} takes no side data")
+        if d.cofinite is not None and not takes_cofinite:
+            _fail("RuleShape", path, f"rule {d.rule} takes no cofinite witness record")
+        _require_config(t.src, path, "source")
+        _require_config(t.dst, path, "destination")
+        if isinstance(t.action, BoundOutput) and t.action.chan == t.action.name:
+            _fail("RuleShape", path, "bound output must extrude a name other than its channel")
+        if len(d.premises) != count:
+            _fail("RuleShape", path, f"rule {d.rule} expects {count} premise(s), got {len(d.premises)}")
+        if takes_cofinite:
+            if d.cofinite is None:
+                _fail("RuleShape", path, f"rule {d.rule} needs a cofinite witness record")
+            if not d.cofinite.avoid.is_finite():
+                _fail("RuleShape", path, "the avoid set must be finite")
+            if d.cofinite.avoid.member(w):
+                _fail("WitnessInL", path, f"witness {w!r} lies in the avoid set")
+            if t.support().member(w):
+                _fail("FreshnessViolated", path, f"witness {w!r} occurs in the conclusion")
     env, proc = t.src.env, t.src.proc
 
     match d.rule:
         case "Out":
-            _premise_count(d, 0, path)
             if not (isinstance(proc, Out) and isinstance(proc.chan, Free) and isinstance(proc.msg, Free)):
                 _fail("RuleShape", path, "source process is not a free output prefix")
             c, m = proc.chan.atom, proc.msg.atom
@@ -501,7 +547,6 @@ def _check(d: Derivation, extra: int, path: tuple[int, ...]) -> None:
                 _fail("RuleShape", path, "destination process must be the continuation")
 
         case "Inp":
-            _premise_count(d, 0, path)
             if not (isinstance(proc, Inp) and isinstance(proc.chan, Free)):
                 _fail("RuleShape", path, "source process is not an input prefix")
             c = proc.chan.atom
@@ -516,7 +561,6 @@ def _check(d: Derivation, extra: int, path: tuple[int, ...]) -> None:
                 _fail("RuleShape", path, "destination process must be the body opened with the name")
 
         case "Sum":
-            _premise_count(d, 1, path)
             if not isinstance(proc, Sum):
                 _fail("RuleShape", path, "source process is not a sum")
             if not is_natural(d.side):
@@ -525,10 +569,8 @@ def _check(d: Derivation, extra: int, path: tuple[int, ...]) -> None:
             want = Transition(Config(env, proc.procs.get(d.side)), t.action, t.dst)
             if p != want:
                 _fail("RuleShape", path, "premise must step the selected branch to the same result")
-            _check(d.premises[0], extra, path + (0,))
 
         case "Par-L" | "Par-R":
-            _premise_count(d, 1, path)
             if not isinstance(proc, Par):
                 _fail("RuleShape", path, "source process is not a parallel composition")
             mine, other = (proc.left, proc.right) if d.rule == "Par-L" else (proc.right, proc.left)
@@ -544,22 +586,16 @@ def _check(d: Derivation, extra: int, path: tuple[int, ...]) -> None:
                 _fail("RuleShape", path, "non-stepping component must be preserved")
             if isinstance(t.action, BoundOutput) and not is_fresh(t.action.name, other):
                 _fail("FreshnessViolated", path, "extruded name occurs free in the sibling")
-            _check(d.premises[0], extra, path + (0,))
 
         case "Res":
             if not (isinstance(proc, Res) and isinstance(t.dst.proc, Res)):
                 _fail("RuleShape", path, "restriction must step to a restriction")
-            _premise_count(d, 1, path)
-            avoid, w = _check_cofinite_node(d, path)
-            want = Transition(
-                Config(env, proc.body.open_at(0, w)),
-                t.action,
-                Config(t.dst.env, t.dst.proc.body.open_at(0, w)),
-            )
-            _check_at_witness(d, want, extra, path)
+            want = Transition(Config(env, proc.body.open_at(0, w)), t.action,
+                              Config(t.dst.env, t.dst.proc.body.open_at(0, w)))
+            if d.premises[0].conclusion != want:
+                _fail("RuleShape", path, "premise does not match the opened conclusion at the witness")
 
         case "Open":
-            _premise_count(d, 1, path)
             if not isinstance(proc, Res):
                 _fail("RuleShape", path, "source process is not a restriction")
             if not isinstance(t.action, BoundOutput):
@@ -579,10 +615,8 @@ def _check(d: Derivation, extra: int, path: tuple[int, ...]) -> None:
             )
             if p != want:
                 _fail("RuleShape", path, "premise must output the opened name to the same result")
-            _check(d.premises[0], extra, path + (0,))
 
         case "Comm-L" | "Comm-R":
-            _premise_count(d, 2, path)
             if not isinstance(proc, Par):
                 _fail("RuleShape", path, "source process is not a parallel composition")
             if t.action != Tau():
@@ -601,18 +635,14 @@ def _check(d: Derivation, extra: int, path: tuple[int, ...]) -> None:
                 _fail("RuleShape", path, "premise actions must agree on channel and name")
             if t.dst.proc != Par(pl.dst.proc, pr.dst.proc):
                 _fail("RuleShape", path, "destination must combine both premise results")
-            _check(d.premises[0], extra, path + (0,))
-            _check(d.premises[1], extra, path + (1,))
 
         case "Close-L" | "Close-R":
-            _premise_count(d, 2, path)
             if not isinstance(proc, Par):
                 _fail("RuleShape", path, "source process is not a parallel composition")
             if t.action != Tau():
                 _fail("RuleShape", path, "scope-closing communication is silent")
             if t.dst.env != env:
                 _fail("EnvMismatch", path, "silent steps leak nothing to the observer")
-            avoid, w = _check_cofinite_node(d, path)
             pl, pr = d.premises[0].conclusion, d.premises[1].conclusion
             extruder, receiver = (pl, pr) if d.rule == "Close-L" else (pr, pl)
             ext_proc, recv_proc = (
@@ -632,59 +662,14 @@ def _check(d: Derivation, extra: int, path: tuple[int, ...]) -> None:
             cr = pr.dst.proc.close_at(0, w)
             if t.dst.proc != Res(Par(cl, cr)):
                 _fail("RuleShape", path, "destination must re-bind the extruded name over both results")
-            _check_close_witnesses(d, extra, path)
 
         case "Rep":
-            _premise_count(d, 1, path)
             if not isinstance(proc, Rep):
                 _fail("RuleShape", path, "source process is not a replication")
             p = d.premises[0].conclusion
             want = Transition(Config(env, Par(proc.body, Rep(proc.body))), t.action, t.dst)
             if p != want:
                 _fail("RuleShape", path, "premise must step one unfolding to the same result")
-            _check(d.premises[0], extra, path + (0,))
-
-
-def _check_at_witness(d: Derivation, want: Transition, extra: int, path) -> None:
-    # Restriction: the stored premise must match the opened template, and the
-    # same must be re-derivable at further fresh witnesses (equivariance
-    # evidence for the cofinite quantifier).
-    p = d.premises[0]
-    if p.conclusion != want:
-        _fail("RuleShape", path, "premise does not match the opened conclusion at the witness")
-    _check(p, extra, path + (0,))
-    w = d.cofinite.witness
-    t = d.conclusion
-    env, proc = t.src.env, t.src.proc
-    for w2 in d.support().least_outside(extra) if extra else ():  # 0 on moved copies
-        moved = p.perm_apply(swap(w, w2))
-        want2 = Transition(
-            Config(env, proc.body.open_at(0, w2)),
-            t.action,
-            Config(t.dst.env, t.dst.proc.body.open_at(0, w2)),
-        )
-        if moved.conclusion != want2:
-            _fail("FreshnessViolated", path, f"premise is not re-derivable at fresh witness {w2!r}")
-        _check(moved, 0, path + (0,))
-
-
-def _check_close_witnesses(d: Derivation, extra: int, path) -> None:
-    _check(d.premises[0], extra, path + (0,))
-    _check(d.premises[1], extra, path + (1,))
-    w = d.cofinite.witness
-    for w2 in d.support().least_outside(extra) if extra else ():  # 0 on moved copies
-        sw = swap(w, w2)
-        moved = Derivation(
-            d.rule,
-            d.conclusion,  # fixed: w and w2 are both fresh for it
-            tuple(q.perm_apply(sw) for q in d.premises),
-            Cofinite(d.cofinite.avoid, w2),
-            d.side,
-        )
-        try:
-            _check(moved, 0, path)
-        except CheckError as e:
-            _fail("FreshnessViolated", path, f"premises not re-derivable at witness {w2!r}: {e}")
 
 
 # ------------- weakening -------------
@@ -711,9 +696,7 @@ def weaken(d: Derivation, extra_env: NameSet, extra_witnesses: int = 1) -> Deriv
 
 def _weaken(d: Derivation, xe: NameSet) -> Derivation:
     if d.cofinite and xe.member(d.cofinite.witness):
-        w = d.cofinite.witness
-        w2 = fresh(d.support().union(xe))
-        d = d.perm_apply(swap(w, w2))
+        d = _moved(d, fresh(d.support().union(xe)))
     t = d.conclusion
     concl = Transition(
         Config(t.src.env.union(xe), t.src.proc), t.action, Config(t.dst.env.union(xe), t.dst.proc)

@@ -89,8 +89,8 @@ class Term(Record):
     def lc_at(self, i: int) -> bool:
         return term_lc_at(i, self)
 
-    def lc_cofinite(self, extra: int = 3) -> bool:
-        return term_lc(self, extra)
+    def lc_cofinite(self) -> bool:
+        return term_lc(self)
 
     def perm_apply(self, p: Permutation) -> Term:
         return term_perm(p, self)
@@ -221,30 +221,32 @@ def free_names(t: Term) -> NameSet:
     return NameSet.finite(term_atom_list(t))
 
 
-def term_lc(t: Term, extra: int = 3) -> bool:
+# The fresh atoms beyond the first that term_lc opens each binder body at.
+LC_EXTRA_WITNESSES = 3
+
+
+def term_lc(t: Term) -> bool:
     """Local closure by the inductive definition: every binder body must be
     locally closed once opened with any sufficiently fresh atom."""
     match t:
         case Nil():
             return True
         case Sum(f):
-            return all(term_lc(e, extra) for e in f.parts())
+            return all(term_lc(e) for e in f.parts())
         case Inp(c, b):
             return isinstance(c, Free) and all(
-                term_lc(term_open_at(0, w, b), extra)
-                for w in free_names(b).least_outside(1 + extra)
+                term_lc(term_open_at(0, w, b)) for w in free_names(b).least_outside(1 + LC_EXTRA_WITNESSES)
             )
         case Out(c, m, k):
-            return isinstance(c, Free) and isinstance(m, Free) and term_lc(k, extra)
+            return isinstance(c, Free) and isinstance(m, Free) and term_lc(k)
         case Par(l, r):
-            return term_lc(l, extra) and term_lc(r, extra)
+            return term_lc(l) and term_lc(r)
         case Res(b):
             return all(
-                term_lc(term_open_at(0, w, b), extra)
-                for w in free_names(b).least_outside(1 + extra)
+                term_lc(term_open_at(0, w, b)) for w in free_names(b).least_outside(1 + LC_EXTRA_WITNESSES)
             )
         case Rep(b):
-            return term_lc(b, extra)
+            return term_lc(b)
     raise TypeError(f"not a term: {t!r}")
 
 

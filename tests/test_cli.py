@@ -200,6 +200,18 @@ def test_check_deriv_rejects_a_non_natural_index(capsys, tmp_path, process, wher
     assert err == f"syntax error: {deriv} is not a derivation file (at position 0)\n"
 
 
+def test_check_deriv_decodes_every_entry_before_checking_any(capsys, tmp_path) -> None:
+    deriv = tmp_path / "derivs.json"
+    run(capsys, "step", "-e", "c", "--fuel", "1", SERVER, "--deriv", str(deriv))
+    data = json.loads(deriv.read_text())
+    assert len(data) == 2
+    data[1]["extra"] = None  # an unknown key on the second entry only
+    deriv.write_text(json.dumps(data))
+    code, out, err = run(capsys, "check-deriv", str(deriv))
+    assert (code, out) == (1, "")
+    assert err == f"syntax error: {deriv} is not a derivation file (at position 0)\n"
+
+
 WITNESS_IN_ITS_AVOID_SET = {"L": {"mod": 1, "res": [], "add": [5], "remove": []}, "witness": 5}
 
 

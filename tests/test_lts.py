@@ -5,8 +5,8 @@ from functools import reduce
 
 import pytest
 
-from lnpi import lts, props
-from lnpi.atoms import Atom, Permutation, swap
+from lnpi import cli, lts, props
+from lnpi.atoms import Atom, Permutation, is_natural, swap
 from lnpi.gen import rand_atom, rand_config, rand_family, rand_perm, rand_term_set
 from lnpi.lts import (
     Action,
@@ -35,10 +35,10 @@ from lnpi.lts import (
     step,
     weaken,
 )
-from lnpi.namesets import NameSet, union_all
+from lnpi.namesets import NameSet, fresh, union_all
 from lnpi.parsing import parse
 from lnpi.permtypes import FiniteTermSet, IndexedFamily, apply, is_fresh, supp
-from lnpi.pisyntax import Bound, Free, Inp, Nil, Out, Par, Rep, Res, Sum, free_names
+from lnpi.pisyntax import Bound, Free, Inp, Nil, Out, Par, Rep, Res, Sum, free_names, term_lc_at
 
 a = [Atom(i) for i in range(12)]
 
@@ -629,6 +629,438 @@ def test_checker_accepts_any_received_name_in_inputs() -> None:
     n = a[9]
     t = Transition(src, Input(a[0], n), Config(fin(0, 9), Nil()))
     check(Derivation("Inp", t))
+
+
+# ------------- the checker walk against the recursive checker -------------
+
+# The recursive checker from before check became one explicit-stack walk over
+# node-local rule checks, with its two witness helpers: the reference the walk
+# must agree with.
+
+
+def ref_check(d: Derivation, extra_witnesses: int = 0) -> None:
+    ref_check_tree(d, extra_witnesses, ())
+
+
+def ref_fail(reason: str, path: tuple[int, ...], message: str):
+    raise CheckError(reason, path, message)
+
+
+def ref_require_config(cfg: Config, path, what: str) -> None:
+    if not cfg.env.is_finite():
+        ref_fail("RuleShape", path, f"{what} environment is not finite")
+    if not term_lc_at(0, cfg.proc):
+        ref_fail("RuleShape", path, f"{what} process is not locally closed")
+
+
+def ref_premise_count(d: Derivation, n: int, path) -> None:
+    if len(d.premises) != n:
+        ref_fail("RuleShape", path, f"rule {d.rule} expects {n} premise(s), got {len(d.premises)}")
+
+
+def ref_check_cofinite_node(d: Derivation, path) -> tuple[NameSet, Atom]:
+    if d.cofinite is None:
+        ref_fail("RuleShape", path, f"rule {d.rule} needs a cofinite witness record")
+    w = d.cofinite.witness
+    if not d.cofinite.avoid.is_finite():
+        ref_fail("RuleShape", path, "the avoid set must be finite")
+    if d.cofinite.avoid.member(w):
+        ref_fail("WitnessInL", path, f"witness {w!r} lies in the avoid set")
+    if d.conclusion.support().member(w):
+        ref_fail("FreshnessViolated", path, f"witness {w!r} occurs in the conclusion")
+    return d.cofinite.avoid, w
+
+
+# Every rule, and the ones that record side data (Sum: the entry index; Open:
+# the extruded atom) or a cofinite record; the other rules take neither.
+REF_RULES = ("Out", "Inp", "Sum", "Par-L", "Par-R", "Res", "Open",
+             "Comm-L", "Comm-R", "Close-L", "Close-R", "Rep")
+REF_SIDE_RULES = ("Sum", "Open")
+REF_COFINITE_RULES = ("Res", "Close-L", "Close-R")
+
+
+def ref_check_tree(d: Derivation, extra: int, path: tuple[int, ...]) -> None:
+    if d.rule not in REF_RULES:
+        ref_fail("RuleShape", path, f"unknown rule {d.rule!r}")
+    if d.side is not None and d.rule not in REF_SIDE_RULES:
+        ref_fail("RuleShape", path, f"rule {d.rule} takes no side data")
+    if d.cofinite is not None and d.rule not in REF_COFINITE_RULES:
+        ref_fail("RuleShape", path, f"rule {d.rule} takes no cofinite witness record")
+    t = d.conclusion
+    ref_require_config(t.src, path, "source")
+    ref_require_config(t.dst, path, "destination")
+    if isinstance(t.action, BoundOutput) and t.action.chan == t.action.name:
+        ref_fail("RuleShape", path, "bound output must extrude a name other than its channel")
+    env, proc = t.src.env, t.src.proc
+
+    match d.rule:
+        case "Out":
+            ref_premise_count(d, 0, path)
+            if not (isinstance(proc, Out) and isinstance(proc.chan, Free) and isinstance(proc.msg, Free)):
+                ref_fail("RuleShape", path, "source process is not a free output prefix")
+            c, m = proc.chan.atom, proc.msg.atom
+            if t.action != Output(c, m):
+                ref_fail("RuleShape", path, "action does not match the output prefix")
+            if not env.member(c):
+                ref_fail("EnvMismatch", path, "output channel unknown to the observer")
+            if t.dst.env != env.union(NameSet.finite([m])):
+                ref_fail("EnvMismatch", path, "destination environment must add the emitted name")
+            if t.dst.proc != proc.cont:
+                ref_fail("RuleShape", path, "destination process must be the continuation")
+
+        case "Inp":
+            ref_premise_count(d, 0, path)
+            if not (isinstance(proc, Inp) and isinstance(proc.chan, Free)):
+                ref_fail("RuleShape", path, "source process is not an input prefix")
+            c = proc.chan.atom
+            if not isinstance(t.action, Input) or t.action.chan != c:
+                ref_fail("RuleShape", path, "action does not match the input prefix")
+            n = t.action.name  # any name: the checker is permissive here
+            if not env.member(c):
+                ref_fail("EnvMismatch", path, "input channel unknown to the observer")
+            if t.dst.env != env.union(NameSet.finite([n])):
+                ref_fail("EnvMismatch", path, "destination environment must add the received name")
+            if t.dst.proc != proc.body.open_at(0, n):
+                ref_fail("RuleShape", path, "destination process must be the body opened with the name")
+
+        case "Sum":
+            ref_premise_count(d, 1, path)
+            if not isinstance(proc, Sum):
+                ref_fail("RuleShape", path, "source process is not a sum")
+            if not is_natural(d.side):
+                ref_fail("RuleShape", path, "sum derivation must record its entry index")
+            p = d.premises[0].conclusion
+            want = Transition(Config(env, proc.procs.get(d.side)), t.action, t.dst)
+            if p != want:
+                ref_fail("RuleShape", path, "premise must step the selected branch to the same result")
+            ref_check_tree(d.premises[0], extra, path + (0,))
+
+        case "Par-L" | "Par-R":
+            ref_premise_count(d, 1, path)
+            if not isinstance(proc, Par):
+                ref_fail("RuleShape", path, "source process is not a parallel composition")
+            mine, other = (proc.left, proc.right) if d.rule == "Par-L" else (proc.right, proc.left)
+            p = d.premises[0].conclusion
+            if p.src != Config(env, mine):
+                ref_fail("RuleShape", path, "premise must start from the stepping component")
+            if p.action != t.action:
+                ref_fail("RuleShape", path, "premise action must match the conclusion")
+            if p.dst.env != t.dst.env:
+                ref_fail("EnvMismatch", path, "conclusion environment must come from the premise")
+            want = Par(p.dst.proc, other) if d.rule == "Par-L" else Par(other, p.dst.proc)
+            if t.dst.proc != want:
+                ref_fail("RuleShape", path, "non-stepping component must be preserved")
+            if isinstance(t.action, BoundOutput) and not is_fresh(t.action.name, other):
+                ref_fail("FreshnessViolated", path, "extruded name occurs free in the sibling")
+            ref_check_tree(d.premises[0], extra, path + (0,))
+
+        case "Res":
+            if not (isinstance(proc, Res) and isinstance(t.dst.proc, Res)):
+                ref_fail("RuleShape", path, "restriction must step to a restriction")
+            ref_premise_count(d, 1, path)
+            avoid, w = ref_check_cofinite_node(d, path)
+            want = Transition(
+                Config(env, proc.body.open_at(0, w)),
+                t.action,
+                Config(t.dst.env, t.dst.proc.body.open_at(0, w)),
+            )
+            ref_check_at_witness(d, want, extra, path)
+
+        case "Open":
+            ref_premise_count(d, 1, path)
+            if not isinstance(proc, Res):
+                ref_fail("RuleShape", path, "source process is not a restriction")
+            if not isinstance(t.action, BoundOutput):
+                ref_fail("RuleShape", path, "extrusion must be a bound output")
+            n = t.action.name
+            if d.side != n:
+                ref_fail("RuleShape", path, "extruded atom must be recorded as side data")
+            if env.member(n):
+                ref_fail("FreshnessViolated", path, "extruded name already known to the observer")
+            if not is_fresh(n, proc.body):
+                ref_fail("FreshnessViolated", path, "extruded name occurs free under the binder")
+            if t.dst.env != env.union(NameSet.finite([n])):
+                ref_fail("EnvMismatch", path, "destination environment must add the extruded name")
+            p = d.premises[0].conclusion
+            want = Transition(
+                Config(env, proc.body.open_at(0, n)), Output(t.action.chan, n), t.dst
+            )
+            if p != want:
+                ref_fail("RuleShape", path, "premise must output the opened name to the same result")
+            ref_check_tree(d.premises[0], extra, path + (0,))
+
+        case "Comm-L" | "Comm-R":
+            ref_premise_count(d, 2, path)
+            if not isinstance(proc, Par):
+                ref_fail("RuleShape", path, "source process is not a parallel composition")
+            if t.action != Tau():
+                ref_fail("RuleShape", path, "communication is silent")
+            if t.dst.env != env:
+                ref_fail("EnvMismatch", path, "silent steps leak nothing to the observer")
+            pl, pr = d.premises[0].conclusion, d.premises[1].conclusion
+            env_l = env.union(free_names(proc.right))
+            env_r = env.union(free_names(proc.left))
+            if pl.src != Config(env_l, proc.left) or pr.src != Config(env_r, proc.right):
+                ref_fail("EnvMismatch", path, "premises must extend the environment with sibling names")
+            sender, receiver = (pl, pr) if d.rule == "Comm-L" else (pr, pl)
+            if not isinstance(sender.action, Output) or not isinstance(receiver.action, Input):
+                ref_fail("RuleShape", path, "communication needs one output and one input premise")
+            if (sender.action.chan, sender.action.name) != (receiver.action.chan, receiver.action.name):
+                ref_fail("RuleShape", path, "premise actions must agree on channel and name")
+            if t.dst.proc != Par(pl.dst.proc, pr.dst.proc):
+                ref_fail("RuleShape", path, "destination must combine both premise results")
+            ref_check_tree(d.premises[0], extra, path + (0,))
+            ref_check_tree(d.premises[1], extra, path + (1,))
+
+        case "Close-L" | "Close-R":
+            ref_premise_count(d, 2, path)
+            if not isinstance(proc, Par):
+                ref_fail("RuleShape", path, "source process is not a parallel composition")
+            if t.action != Tau():
+                ref_fail("RuleShape", path, "scope-closing communication is silent")
+            if t.dst.env != env:
+                ref_fail("EnvMismatch", path, "silent steps leak nothing to the observer")
+            avoid, w = ref_check_cofinite_node(d, path)
+            pl, pr = d.premises[0].conclusion, d.premises[1].conclusion
+            extruder, receiver = (pl, pr) if d.rule == "Close-L" else (pr, pl)
+            ext_proc, recv_proc = (
+                (proc.left, proc.right) if d.rule == "Close-L" else (proc.right, proc.left)
+            )
+            if not isinstance(extruder.action, BoundOutput) or extruder.action.name != w:
+                ref_fail("RuleShape", path, "extruding premise must emit the cofinite witness")
+            if receiver.action != Input(extruder.action.chan, w):
+                ref_fail("RuleShape", path, "receiving premise must input the extruded name")
+            env_ext = env.union(free_names(recv_proc))
+            env_recv = env.union(free_names(ext_proc)).union(NameSet.finite([w]))
+            if extruder.src != Config(env_ext, ext_proc):
+                ref_fail("EnvMismatch", path, "extruder premise environment is wrong")
+            if receiver.src != Config(env_recv, recv_proc):
+                ref_fail("EnvMismatch", path, "receiver premise environment must already hold the name")
+            cl = pl.dst.proc.close_at(0, w)
+            cr = pr.dst.proc.close_at(0, w)
+            if t.dst.proc != Res(Par(cl, cr)):
+                ref_fail("RuleShape", path, "destination must re-bind the extruded name over both results")
+            ref_check_close_witnesses(d, extra, path)
+
+        case "Rep":
+            ref_premise_count(d, 1, path)
+            if not isinstance(proc, Rep):
+                ref_fail("RuleShape", path, "source process is not a replication")
+            p = d.premises[0].conclusion
+            want = Transition(Config(env, Par(proc.body, Rep(proc.body))), t.action, t.dst)
+            if p != want:
+                ref_fail("RuleShape", path, "premise must step one unfolding to the same result")
+            ref_check_tree(d.premises[0], extra, path + (0,))
+
+
+def ref_check_at_witness(d: Derivation, want: Transition, extra: int, path) -> None:
+    # Restriction: the stored premise must match the opened template, and the
+    # same must be re-derivable at further fresh witnesses (equivariance
+    # evidence for the cofinite quantifier).
+    p = d.premises[0]
+    if p.conclusion != want:
+        ref_fail("RuleShape", path, "premise does not match the opened conclusion at the witness")
+    ref_check_tree(p, extra, path + (0,))
+    w = d.cofinite.witness
+    t = d.conclusion
+    env, proc = t.src.env, t.src.proc
+    for w2 in d.support().least_outside(extra) if extra else ():  # 0 on moved copies
+        moved = p.perm_apply(swap(w, w2))
+        want2 = Transition(
+            Config(env, proc.body.open_at(0, w2)),
+            t.action,
+            Config(t.dst.env, t.dst.proc.body.open_at(0, w2)),
+        )
+        if moved.conclusion != want2:
+            ref_fail("FreshnessViolated", path, f"premise is not re-derivable at fresh witness {w2!r}")
+        ref_check_tree(moved, 0, path + (0,))
+
+
+def ref_check_close_witnesses(d: Derivation, extra: int, path) -> None:
+    ref_check_tree(d.premises[0], extra, path + (0,))
+    ref_check_tree(d.premises[1], extra, path + (1,))
+    w = d.cofinite.witness
+    for w2 in d.support().least_outside(extra) if extra else ():  # 0 on moved copies
+        sw = swap(w, w2)
+        moved = Derivation(
+            d.rule,
+            d.conclusion,  # fixed: w and w2 are both fresh for it
+            tuple(q.perm_apply(sw) for q in d.premises),
+            Cofinite(d.cofinite.avoid, w2),
+            d.side,
+        )
+        try:
+            ref_check_tree(moved, 0, path)
+        except CheckError as e:
+            ref_fail("FreshnessViolated", path, f"premises not re-derivable at witness {w2!r}: {e}")
+
+
+def check_outcome(checker, d: Derivation, extra: int) -> CheckError | None:
+    try:
+        checker(d, extra)
+    except CheckError as e:
+        return e
+    return None
+
+
+def readme_file_derivations(tmp_path) -> list[Derivation]:
+    """The derivations in the files the README's commands write."""
+    out, acts, tr, renamed = (tmp_path / f for f in ("out.json", "acts.json", "tr.json", "m.json"))
+    acts.write_text('["c?y1", "(n1)y1!n1"]')
+    assert cli.main(["step", "-e", "n", "new c. n!c. 0", "--deriv", str(out)]) == 0
+    assert cli.main(["trace", "-e", "c", "--fuel", "2", "*( new n. c?(x). x!n. 0 )", str(acts),
+                     "--deriv", str(tr)]) == 0
+    assert cli.main(["rename", str(tr), "n1", "m", "--deriv", str(renamed)]) == 0
+    derivs = [Derivation.from_json(e) for e in json.loads(out.read_text())]
+    for trace in (tr, renamed):
+        data = json.loads(trace.read_text())
+        del data["names"]
+        derivs += [s.deriv for s in Trace.from_json(data).steps]
+    return derivs
+
+
+def lemma_configs_at_fuel_2(monkeypatch) -> list[tuple[Config, int]]:
+    return [(cfg, 2) for cfg in dict.fromkeys(cfg for cfg, _ in lts_lemmas_configs(monkeypatch))]
+
+
+def test_walk_and_recursive_checker_accept_the_same_corpus(monkeypatch, tmp_path, capsys) -> None:
+    corpus = lemma_configs_at_fuel_2(monkeypatch)
+    corpus += [(cfg, fuel) for cfg in (ROADMAP_PROCESS, SERVER) for fuel in range(1, 9)]
+    derivs = [d for cfg, fuel in corpus for _, d in step(cfg, fuel).results]
+    derivs += readme_file_derivations(tmp_path)
+    capsys.readouterr()
+    assert {"Res", "Open", "Close-L", "Close-R", "Sum", "Rep"} <= {q.rule for d in derivs for q in walk(d)}
+    for extra in range(4):
+        for d in derivs:
+            assert check_outcome(check, d, extra) is None
+            assert check_outcome(ref_check, d, extra) is None
+
+
+MIRRORS = {"Par-L": "Par-R", "Comm-L": "Comm-R", "Close-L": "Close-R"}
+MIRRORS.update({v: k for k, v in MIRRORS.items()})
+
+
+def node_mutants(q: Derivation):
+    """q with one defect each: the last premise dropped, the rule swapped with
+    its mirror, the witness moved into the avoid set, side data on a rule that
+    takes none, and the destination environment replaced by the source's plus
+    a fresh atom."""
+    t = q.conclusion
+    if q.premises:
+        yield Derivation(q.rule, t, q.premises[:-1], q.cofinite, q.side)
+    if q.rule in MIRRORS:
+        yield Derivation(MIRRORS[q.rule], t, q.premises, q.cofinite, q.side)
+    if q.cofinite and not q.cofinite.avoid.is_empty():
+        inside = min(q.cofinite.avoid.atoms())
+        yield Derivation(q.rule, t, q.premises, Cofinite(q.cofinite.avoid, inside), q.side)
+    if q.rule not in REF_SIDE_RULES:
+        yield Derivation(q.rule, t, q.premises, q.cofinite, 0)
+    dst = Config(t.src.env.union(NameSet.finite([fresh(q.support())])), t.dst.proc)
+    yield Derivation(q.rule, Transition(t.src, t.action, dst), q.premises, q.cofinite, q.side)
+
+
+def mutated(d: Derivation, path: tuple[int, ...], q: Derivation) -> Derivation:
+    """d with the node at path replaced by q."""
+    if not path:
+        return q
+    i, rest = path[0], path[1:]
+    premises = d.premises[:i] + (mutated(d.premises[i], rest, q),) + d.premises[i + 1:]
+    return Derivation(d.rule, d.conclusion, premises, d.cofinite, d.side)
+
+
+def paths(d: Derivation, path: tuple[int, ...] = ()):
+    yield path, d
+    for i, q in enumerate(d.premises):
+        yield from paths(q, path + (i,))
+
+
+def test_single_node_mutants_fail_as_in_the_recursive_checker(monkeypatch) -> None:
+    corpus = lemma_configs_at_fuel_2(monkeypatch)
+    corpus += [(cfg, fuel) for cfg in (ROADMAP_PROCESS, SERVER) for fuel in range(1, 4)]
+    derivs = [d for cfg, fuel in corpus for _, d in step(cfg, fuel).results] + [res_example()]
+    reasons = set()
+    for d in derivs:
+        for path, q in paths(d):
+            for m in node_mutants(q):
+                bad = mutated(d, path, m)
+                want = check_outcome(ref_check, bad, 2)
+                assert check_outcome(check, bad, 2) == want, (path, m)
+                reasons.add(want and want.reason)
+    assert {"RuleShape", "WitnessInL", "EnvMismatch"} <= reasons
+
+
+def test_a_failure_under_a_moved_node_is_reported_at_the_cofinite_node(monkeypatch) -> None:
+    # Checking is equivariant, so a node that passes passes moved too; plant
+    # a defect in the moved copies to see where their failures are reported.
+    d = res_example()
+    planted = Derivation("Frob", d.premises[0].conclusion)
+    monkeypatch.setattr(lts, "_moved", lambda q, w2: Derivation(q.rule, q.conclusion, (planted,),
+                                                               Cofinite(q.cofinite.avoid, w2)))
+    check(d)
+    w2 = d.support().least_outside(1)[0]
+    with pytest.raises(CheckError) as err:
+        check(d, 1)
+    assert err.value == CheckError("FreshnessViolated", (), f"premises not re-derivable at witness {w2!r}: "
+                                   "RuleShape at 0: unknown rule 'Frob'")
+
+
+def test_a_moved_node_still_compares_its_premises_at_the_new_witness(monkeypatch) -> None:
+    # The restricted name occurs in the premise, so an unpermuted premise
+    # does not match the template opened at the new witness.
+    cfg = Config(fin(0), Res(Par(Out(Bound(0), Bound(0), Nil()), Inp(F(0), Nil()))))
+    d = next(d for _, d in step(cfg).results if d.rule == "Res")
+    check(d, 2)
+    monkeypatch.setattr(lts, "_moved", lambda q, w2: Derivation(q.rule, q.conclusion, q.premises,
+                                                               Cofinite(q.cofinite.avoid, w2)))
+    w2 = d.support().least_outside(1)[0]
+    with pytest.raises(CheckError) as err:
+        check(d, 1)
+    assert err.value == CheckError("FreshnessViolated", (), f"premises not re-derivable at witness {w2!r}: "
+                                   "RuleShape at root: premise does not match the opened conclusion at the witness")
+
+
+def replicated_output(unfoldings: int) -> Derivation:
+    """The derivation of *(c!c.0) emitting c on c after `unfoldings` Rep/Par-R
+    unfoldings: 3 + 2 * unfoldings nodes, built in a loop since _derivs recurses."""
+    env, body, act = fin(0), Out(F(0), F(0), Nil()), Output(a[0], a[0])
+    rep = Rep(body)
+    dst = Par(Nil(), rep)
+    d = Derivation("Out", Transition(Config(env, body), act, Config(env, Nil())))
+    d = Derivation("Par-L", Transition(Config(env, Par(body, rep)), act, Config(env, dst)), (d,))
+    d = Derivation("Rep", Transition(Config(env, rep), act, Config(env, dst)), (d,))
+    for _ in range(unfoldings):
+        dst = Par(body, dst)
+        d = Derivation("Par-R", Transition(Config(env, Par(body, rep)), act, Config(env, dst)), (d,))
+        d = Derivation("Rep", Transition(Config(env, rep), act, Config(env, dst)), (d,))
+    return d
+
+
+def test_check_walks_a_thousand_node_derivation() -> None:
+    small = replicated_output(3)
+    assert small in [d for _, d in step(Config(fin(0), Rep(Out(F(0), F(0), Nil()))), 4).results]
+    deep, nodes = replicated_output(500), 1
+    q = deep
+    while q.premises:
+        q, nodes = q.premises[0], nodes + 1
+    assert nodes == 1003
+    check(deep, 2)
+
+
+def test_moving_a_cofinite_node_permutes_it_whole() -> None:
+    # _weaken re-witnesses a node through the walk's _moved, which keeps the
+    # conclusion and avoid set: equal to permuting the whole node, since both
+    # witnesses are fresh for them.
+    corpus = [(rand_config(random.Random(seed)), 2) for seed in range(400)]
+    corpus += [(ROADMAP_PROCESS, 6), (SERVER, 6)]
+    moves = 0
+    for cfg, fuel in corpus:
+        for _, d in step(cfg, fuel).results:
+            for q in walk(d):
+                if q.cofinite:
+                    for w2 in q.support().least_outside(3):
+                        assert lts._moved(q, w2) == q.perm_apply(swap(q.cofinite.witness, w2))
+                        moves += 1
+    assert moves > 400
 
 
 # ------------- weakening -------------
