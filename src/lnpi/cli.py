@@ -16,7 +16,7 @@ import re
 import sys
 
 from .atoms import Atom, Permutation, is_natural
-from .codec import DecodeError
+from .codec import DecodeError, shared
 from .lts import (
     Action,
     BoundOutput,
@@ -30,7 +30,7 @@ from .lts import (
     Output,
     Tau,
     Trace,
-    check,
+    check_each,
     rename_trace,
     replay,
     step,
@@ -180,7 +180,8 @@ def cmd_step(args) -> int:
     cfg, symtab = _session(args)
     result = step(cfg, args.fuel)
     if args.deriv:
-        _write_json(args.deriv, [d.to_json() for _, d in result.results])
+        with shared():  # what the derivations share is encoded once
+            _write_json(args.deriv, [d.to_json() for _, d in result.results])
     if args.json:
         _emit_json(
             {
@@ -268,10 +269,12 @@ def cmd_perm(args) -> int:
 def cmd_check_deriv(args) -> int:
     data = _load_json(args.file)
     listed = data if isinstance(data, list) else [data]
-    # Every entry is decoded before any is checked, so a malformed file prints no "ok".
-    derivs = _decoded(args.file, "derivation file", lambda: [Derivation.from_json(e) for e in listed])
-    for d in derivs:
-        check(d, args.witnesses)
+    # Every entry is decoded before any is checked, so a malformed file prints
+    # no "ok".  One shared() block and one check_each decode and check each
+    # sub-derivation the entries repeat once.
+    with shared():
+        derivs = _decoded(args.file, "derivation file", lambda: [Derivation.from_json(e) for e in listed])
+    for d in check_each(derivs, args.witnesses):
         print(f"ok [{d.rule}] {_action_str(d.conclusion.action, {})}")
     return 0
 

@@ -12,12 +12,25 @@ None, ``{"atom": i}`` for a later ``Atom``), a record, or a leaf class
 with its own ``to_json``/``from_json``/``key``.  Decoding checks the tag,
 the exact key set and each kind, raising ``DecodeError`` with the JSON
 path; ``key()`` orders by the tag (or key set), then each field's key.
+
+Both directions keep sharing within one outermost call, or within a
+``shared()`` block, through a table that lives that long only.  The
+decoder builds nodes bottom-up, and a record or tuple equal to one already
+built is that object: its key is the kind, the identities of its children
+(themselves shared already) and the values of its leaves (``Atom``,
+``NameSet``, ``int``, ``str``, ``None``).  Whether a field is keyed by
+identity or by value is fixed by its kind, so an identity is never
+compared with a leaf int, and the table holds every object it keys, so no
+identity is reused while it lives.  The encoder encodes each distinct
+record once and puts its JSON value wherever the record recurs;
+``json.dumps`` writes a shared dict as often as it occurs.
 """
 
 from __future__ import annotations
 
 import types
 import typing
+from contextlib import contextmanager
 from dataclasses import is_dataclass
 from functools import partial
 from itertools import islice
@@ -26,8 +39,11 @@ from operator import attrgetter
 from .atoms import Atom
 
 # How values of one annotation are encoded, decoded and keyed (enc, dec, key);
-# a record's kind also holds its resolved fields, a union's its members.
-_Kind = types.SimpleNamespace
+# a record's kind also holds its resolved fields, a union's its members.  A
+# kind that shares (records, tuples, unions of records) takes the call's
+# table as a second argument to enc and dec; a leaf kind takes none.
+class _Kind(types.SimpleNamespace):
+    __eq__, __hash__ = object.__eq__, object.__hash__  # by identity: it heads the table's keys
 
 
 class DecodeError(ValueError):
@@ -48,17 +64,25 @@ class Record:
     """A value whose JSON form and sort key derive from its declaration.  Each
     of to_json, from_json and key takes one Python frame per record."""
 
-    def to_json(self) -> dict:
+    def to_json(self, table: dict | None = None) -> dict:
+        """self's JSON value.  table, passed by the encoder to the records
+        inside, maps id(record) to (record, JSON value) for those encoded."""
+        if table is None:
+            table = _SHARED[-1] if _SHARED else {}
+        found = table.get(id(self))
+        if found is not None:
+            return found[1]
         kind = _KINDS.get(type(self)) or _kind(type(self))
         out = {"tag": kind.tag} if kind.tag else {}
-        for key, get, enc in kind.encs:
-            out[key] = enc(get(self))
+        for key, get, enc, shares in kind.encs:
+            out[key] = enc(get(self), table) if shares else enc(get(self))
+        table[id(self)] = self, out
         return out
 
     @classmethod
     def from_json(cls, data):
         """The cls value that data writes; raises DecodeError on any other shape."""
-        return _kind(cls).dec(data)
+        return _kind(cls).dec(data, _SHARED[-1] if _SHARED else {})
 
     def key(self) -> tuple:
         kind = _KINDS.get(type(self)) or _kind(type(self))
@@ -68,7 +92,22 @@ class Record:
         return tuple(out)
 
 
-def _decode(kind: _Kind, data):  # a union's member is picked here, in the same frame
+# The table of the innermost open shared() block, if any.
+_SHARED: list[dict] = []
+
+
+@contextmanager
+def shared():
+    """Within the block, the outermost to_json and from_json calls share one
+    table, as if they were one call; it is dropped when the block ends."""
+    _SHARED.append(_SHARED[-1] if _SHARED else {})
+    try:
+        yield
+    finally:
+        _SHARED.pop()
+
+
+def _decode(kind: _Kind, data, table: dict):  # a union's member is picked here, in the same frame
     if type(data) is not dict:
         raise DecodeError(f"expected an object, got {data!r:.40}")
     if kind.members is not None:
@@ -82,17 +121,27 @@ def _decode(kind: _Kind, data):  # a union's member is picked here, in the same 
         kind = found
     elif kind.tag and data.get("tag") != kind.tag:
         raise DecodeError(f"expected the tag {kind.tag!r}").at("tag")
-    vals = []
+    vals, ident = [], [kind]
     try:  # every key read is there, and no other: exactly the keys
         if len(data) != len(kind.keys):
             raise KeyError
-        for key, dec in kind.decs:
-            vals.append(dec(data[key]))
+        for key, dec, shares in kind.decs:
+            if shares:
+                x = dec(data[key], table)
+                ident.append(id(x))
+            else:
+                x = dec(data[key])
+                ident.append(x)
+            vals.append(x)
     except DecodeError as e:
         raise e.at(kind.decs[len(vals)][0]) from None
     except KeyError:
         raise DecodeError(f"expected the keys {sorted(kind.keys)}, got {sorted(data)}") from None
-    return kind.build(*vals)
+    ident = tuple(ident)
+    found = table.get(ident)
+    if found is None:
+        found = table[ident] = kind.build(*vals)
+    return found
 
 
 def _string(x) -> str:
@@ -121,9 +170,9 @@ _index = attrgetter("index")
 # Every kind, by annotation: derived from the classes alone, so one table serves every caller.
 # str and int encode and key their own values as themselves, without a Python frame.
 _KINDS: dict = {
-    str: _Kind(enc=str, dec=_string, key=str),
-    int: _Kind(enc=int, dec=_natural, key=int),
-    Atom: _Kind(enc=_index, dec=_atom, key=_index),
+    str: _Kind(enc=str, dec=_string, key=str, shares=False),
+    int: _Kind(enc=int, dec=_natural, key=int, shares=False),
+    Atom: _Kind(enc=_index, dec=_atom, key=_index, shares=False),
 }
 
 
@@ -133,7 +182,7 @@ def _kind(tp) -> _Kind:
         return kind
     if isinstance(tp, type) and issubclass(tp, Record):
         # Registered before its fields resolve, since a record may hold itself.
-        kind = _KINDS[tp] = _Kind(enc=Record.to_json, key=Record.key, members=None)
+        kind = _KINDS[tp] = _Kind(enc=Record.to_json, key=Record.key, members=None, shares=True)
         kind.dec = partial(_decode, kind)
         (_record if is_dataclass(tp) else _union_of)(tp, kind)
         return kind
@@ -143,7 +192,7 @@ def _kind(tp) -> _Kind:
     elif origin in (typing.Union, types.UnionType):
         kind = _union([a for a in args if a is not type(None)], type(None) in args)
     elif isinstance(tp, type) and hasattr(tp, "from_json"):
-        kind = _Kind(enc=tp.to_json, dec=tp.from_json, key=tp.key)
+        kind = _Kind(enc=tp.to_json, dec=tp.from_json, key=tp.key, shares=False)
     else:
         raise TypeError(f"no JSON form for {tp!r}")
     _KINDS[tp] = kind
@@ -151,43 +200,57 @@ def _kind(tp) -> _Kind:
 
 
 def _array(item: _Kind) -> _Kind:
-    def dec(data) -> tuple:
+    # A tuple's key is its kind and its items, by identity if they share.
+    def dec(data, table: dict) -> tuple:
         if type(data) is not list:
             raise DecodeError(f"expected an array, got {data!r:.40}")
         out = []
         try:
             for x in data:
-                out.append(item.dec(x))
+                out.append(item.dec(x, table) if item.shares else item.dec(x))
         except DecodeError as e:
             raise e.at(len(out)) from None
-        return tuple(out)
+        ident = (kind, *map(id, out)) if item.shares else (kind, *out)
+        found = table.get(ident)
+        if found is None:
+            found = table[ident] = tuple(out)
+        return found
 
-    return _Kind(enc=lambda xs: list(map(item.enc, xs)), dec=dec, key=lambda xs: tuple(map(item.key, xs)))
+    def enc(xs, table: dict) -> list:
+        return [item.enc(x, table) for x in xs] if item.shares else list(map(item.enc, xs))
+
+    kind = _Kind(enc=enc, dec=dec, key=lambda xs: tuple(map(item.key, xs)), shares=True)  # dec's keys start with it
+    return kind
 
 
 def _union(alts: list, optional: bool) -> _Kind:
-    # No keyed record holds a union, so it has no sort key.
+    # No keyed record holds a union, so it has no sort key.  It shares if one
+    # of its alternatives does; it then passes the table to those that do.
     first = _kind(alts[0])
     wrapped = {a.__name__.lower(): (a, _kind(a)) for a in alts[1:]}
 
-    def enc(x):
+    def enc(x, table=None):
         for name, (a, kind) in wrapped.items():
             if isinstance(x, a):
-                return {name: kind.enc(x)}
-        return None if x is None else first.enc(x)
+                return {name: kind.enc(x, table) if kind.shares else kind.enc(x)}
+        if x is None:
+            return None
+        return first.enc(x, table) if first.shares else first.enc(x)
 
-    def dec(data):
+    def dec(data, table=None):
         if data is None and optional:
             return None
         if type(data) is dict and len(data) == 1 and next(iter(data)) in wrapped:
             (name, value), = data.items()
+            kind = wrapped[name][1]
             try:
-                return wrapped[name][1].dec(value)
+                return kind.dec(value, table) if kind.shares else kind.dec(value)
             except DecodeError as e:
                 raise e.at(name) from None
-        return first.dec(data)
+        return first.dec(data, table) if first.shares else first.dec(data)
 
-    return _Kind(enc=enc, dec=dec, key=None)
+    shares = first.shares or any(kind.shares for _, kind in wrapped.values())
+    return _Kind(enc=enc, dec=dec, key=None, shares=shares)
 
 
 def _record(cls: type, kind: _Kind) -> None:
@@ -206,8 +269,8 @@ def _record(cls: type, kind: _Kind) -> None:
     kind.keys = frozenset(k for k, _, _ in fields) | ({"tag"} if kind.tag else set())
     kind.first = kind.tag or tuple(sorted(kind.keys))
     kinds = [_kind(tp) for _, _, tp in fields]
-    kind.encs = [(key, attrgetter(path), f.enc) for (key, path, _), f in zip(fields, kinds)]
-    kind.decs = [(key, f.dec) for (key, _, _), f in zip(fields, kinds)]
+    kind.encs = [(key, attrgetter(path), f.enc, f.shares) for (key, path, _), f in zip(fields, kinds)]
+    kind.decs = [(key, f.dec, f.shares) for (key, _, _), f in zip(fields, kinds)]
     kind.sorts = [(attrgetter(path), f.key) for (_, path, _), f in zip(fields, kinds)]
     if any(make for make, _ in layout):
         def build(*vals):

@@ -10,17 +10,16 @@ avoid set plus the witness they were derived at; the checker re-derives
 them at extra fresh witnesses as equivariance evidence.
 
 The checker is one walk with an explicit stack, so a derivation's depth
-costs it no frames of its own (the permutation action that moves a node,
-and the term traversals, still recurse).  ``_check`` validates a single
-node: guards driven by a table of each rule's premise count and whether
-it takes side data or a cofinite record, then the rule's case, which
-compares the node with its premises' conclusions.  ``check`` visits a
-node, then its premises, then, for a cofinite node, that node moved to
-each extra fresh witness: the same conclusion over premises with the two
-witnesses swapped, checked with no extra witnesses of its own.  A moved
-node skips the guards, which its original passed, but not the rule's
-case; the nodes under it are checked in full.  A failure under a moved
-node is reported at the cofinite node.
+costs it no frames of its own (the term traversals still recurse).
+``_check`` validates a single node: guards driven by a table of each
+rule's premise count and whether it takes side data or a cofinite record,
+then the rule's case, which compares the node with its premises'
+conclusions.  ``check`` visits a node, then its premises, then, for a
+cofinite node, that node moved to each extra fresh witness: the same
+conclusion over premises with the two witnesses swapped, checked with no
+extra witnesses of its own.  A moved node skips the guards, which its
+original passed, but not the rule's case; the nodes under it are checked
+in full.  A failure under a moved node is reported at the cofinite node.
 
 The enumerator ``_derivs`` is a pure function of (environment, process,
 fuel, avoid set), and replication makes it meet the same arguments many
@@ -28,8 +27,23 @@ times over.  It therefore looks each argument tuple up in a memo table,
 a plain dict passed down explicitly that ``step`` creates per call.
 ``replay`` steps through ``step`` and so takes a new table per step: each
 visible action widens the environment, which is part of every key, so a
-later step would find little of an earlier one's table.  No table outlives
-the call that made it, so importing the module keeps no cache state.
+later step would find little of an earlier one's table.
+
+Derivations share sub-derivations: the memo hands one premise to many
+parents, and a decoded file shares what its entries repeat (see
+``lnpi.codec``).  The moving and checking keep that sharing and do the work
+once per distinct node, through tables that live for one call, are keyed
+by object identity and hold each keyed object, so no identity is reused
+while they live.  The mover, ``Derivation.perm_apply``, walks with an
+explicit stack and remembers each (node, permutation) it moved, so a
+shared premise is moved once and its copy is shared; ``step``'s
+canonicalisation, ``_moved`` and ``rename_trace`` move through it.  The
+checker's ``check_each`` remembers each (node, extra witnesses, guards
+skipped) that passed, over all the derivations it checks, and skips it,
+with its subtree, when met again; the CLI's ``check-deriv`` and
+``rename_trace`` check through it.  ``check`` of one derivation keeps no
+such table: the repeats are across derivations.  No table outlives the
+call that made it, so importing the module keeps no cache state.
 """
 
 from __future__ import annotations
@@ -180,6 +194,33 @@ class Derivation(PermValue, Record):
     cofinite: Cofinite | None = None
     side: int | Atom | None = None  # Sum: entry index; Open: extruded atom, written {"atom": i}
 
+    def perm_apply(self, p: Permutation, moves: dict | None = None) -> Derivation:
+        """p . self, built bottom-up with an explicit stack.  moves, the
+        mover's table, maps (id(x), p.pairs) to (x, p . x) for the nodes and
+        configurations moved so far; a caller that passes one table to
+        several calls moves each shared node once and shares its copy."""
+        if moves is None:
+            moves = {}
+        pk = p.pairs  # equal permutations have equal pairs, hashed without a Python frame
+        todo = [self]
+        while todo:
+            d = todo[-1]
+            if (id(d), pk) in moves:
+                todo.pop()
+                continue
+            waiting = [q for q in d.premises if (id(q), pk) not in moves]
+            if waiting:  # moved before d is looked at again
+                todo += waiting
+                continue
+            todo.pop()
+            t = d.conclusion
+            concl = Transition(_move(t.src, p, moves), t.action.perm_apply(p), _move(t.dst, p, moves))
+            premises = tuple(moves[id(q), pk][1] for q in d.premises)
+            cof = d.cofinite and d.cofinite.perm_apply(p)
+            side = p(d.side) if isinstance(d.side, Atom) else d.side
+            moves[id(d), pk] = d, Derivation(d.rule, concl, premises, cof, side)
+        return moves[id(self), pk][1]
+
     def support(self) -> NameSet:
         # Kept to walk the tree once, with an explicit stack, not to union per
         # node: the atoms of every node go into one finite set, its
@@ -201,6 +242,15 @@ class Derivation(PermValue, Record):
                 atoms.append(d.side)
             stack += d.premises
         return union_all(NameSet.finite(atoms), *sets)
+
+
+def _move(x: PermValue, p: Permutation, moves: dict):
+    """p . x, looked up in or added to the mover's table (see Derivation.perm_apply)."""
+    key = (id(x), p.pairs)
+    found = moves.get(key)
+    if found is None:
+        found = moves[key] = x, x.perm_apply(p)
+    return found[1]
 
 
 @dataclass(frozen=True)
@@ -243,7 +293,8 @@ def _step(cfg: Config, fuel: int, memo: dict) -> StepResult:
         raise IllFormedConfig("process must be locally closed")
     derivs, complete = _derivs(cfg.env, cfg.proc, fuel, NameSet.empty(), memo=memo)
     base = cfg.support()
-    canon = [_canonicalize(d, base) for d in derivs]
+    moves: dict = {}  # one mover's table: premises the memo shares stay shared
+    canon = [_canonicalize(d, base, moves) for d in derivs]
     keyed = sorted((((d.rule, t.key()), (t, d)) for t, d in canon), key=lambda kp: kp[0])
     # Order by (rule, transition), then by the derivation's JSON; ties on the
     # first are rare, so only they pay for serialising.
@@ -432,10 +483,10 @@ def normalize_transition(t: Transition) -> Transition:
     return t if p is None else t.perm_apply(p)
 
 
-def _canonicalize(d: Derivation, base: NameSet) -> tuple[Transition, Derivation]:
+def _canonicalize(d: Derivation, base: NameSet, moves: dict) -> tuple[Transition, Derivation]:
     p = _renaming(d.conclusion, base)
     if p is not None:
-        d = d.perm_apply(p)
+        d = d.perm_apply(p, moves)
     return d.conclusion, d
 
 
@@ -455,36 +506,69 @@ _MOVE = object()  # check's marker: move the cofinite node at this entry's path
 
 def check(d: Derivation, extra_witnesses: int = 0) -> None:
     """Validate every node; raises CheckError on the first violation."""
+    # No success table: one derivation hardly ever holds a node twice (none
+    # of ROADMAP's fuel-6 derivations or of 823 random ones does), so a table
+    # would only cost.  The repeats are across derivations: check_each.
+    _walk(d, extra_witnesses, None, None)
+
+
+def check_each(derivs, extra_witnesses: int = 0):
+    """Yield each derivation once it passed check, in order.  One success
+    table and one mover's table serve them all, so a sub-derivation they
+    share is moved and checked once."""
+    done: dict = {}
+    moves: dict = {}
+    for d in derivs:
+        _walk(d, extra_witnesses, done, moves)
+        yield d
+
+
+def _walk(d: Derivation, extra_witnesses: int, done: dict | None, moves: dict | None) -> None:
     # Entries are (node, extra witnesses, path, moved).  moved is None for
     # the nodes of d, (path, w2) for a node moved to witness w2 and the
     # nodes under it, and _MOVE for the cofinite node at path: that entry
     # lies below its premises' entries, so it is reached once they passed.
+    # done, the success table if any, maps (id(node), extra, guards skipped)
+    # to the node once its own check passed; met again, it is skipped with
+    # its subtree.  That is sound because the stack is LIFO: the subtree is
+    # popped before anything pushed before the node, and a failure in it
+    # ends the walk.  moves is the mover's table (see Derivation.perm_apply).
     todo = [(d, extra_witnesses, (), None)]
     while todo:
         d, extra, path, moved = todo.pop()
         if moved is _MOVE:
             witnesses = d.support().least_outside(extra)
-            todo += [(_moved(d, w2), 0, path, (path, w2)) for w2 in reversed(witnesses)]
+            todo += [(_moved(d, w2, moves), 0, path, (path, w2)) for w2 in reversed(witnesses)]
             continue
+        # The guards are skipped at a moved node itself, not at the nodes under it.
+        skip = moved is not None and path == moved[0]
+        if done is not None:
+            key = (id(d), extra, skip)
+            if key in done:
+                continue
         try:
-            # The guards are skipped at a moved node itself, not at the nodes under it.
-            _check(d, path, moved is not None and path == moved[0])
+            _check(d, path, skip)
         except CheckError as e:
             if moved is None:
                 raise
             at, w2 = moved
             _fail("FreshnessViolated", at, f"premises not re-derivable at witness {w2!r}: {e}")
+        if done is not None:
+            done[key] = d
         if extra and d.cofinite:
             todo.append((d, extra, path, _MOVE))
         for i in range(len(d.premises) - 1, -1, -1):
             todo.append((d.premises[i], extra, path + (i,), moved))
 
 
-def _moved(d: Derivation, w2: Atom) -> Derivation:
+def _moved(d: Derivation, w2: Atom, moves: dict | None = None) -> Derivation:
     """d re-derived at witness w2: the same conclusion, for which both
-    witnesses are fresh, over the premises with the witnesses swapped."""
+    witnesses are fresh, over the premises with the witnesses swapped by
+    the mover, through its table moves (see Derivation.perm_apply)."""
     sw = swap(d.cofinite.witness, w2)
-    return Derivation(d.rule, d.conclusion, tuple(p.perm_apply(sw) for p in d.premises),
+    if moves is None:
+        moves = {}
+    return Derivation(d.rule, d.conclusion, tuple(q.perm_apply(sw, moves) for q in d.premises),
                       Cofinite(d.cofinite.avoid, w2), d.side)
 
 
@@ -497,6 +581,14 @@ def _require_config(cfg: Config, path, what: str) -> None:
         _fail("RuleShape", path, f"{what} environment is not finite")
     if not term_lc_at(0, cfg.proc):
         _fail("RuleShape", path, f"{what} process is not locally closed")
+
+
+def _occurs(w: Atom, t: Transition) -> bool:
+    """w is in the support of t, read off its parts without building a set."""
+    a = t.action
+    return (t.src.env.member(w) or t.dst.env.member(w)
+            or (not isinstance(a, Tau) and w in (a.chan, a.name))
+            or w in term_atom_list(t.src.proc) or w in term_atom_list(t.dst.proc))
 
 
 def _check(d: Derivation, path: tuple[int, ...], moved: bool = False) -> None:
@@ -528,7 +620,7 @@ def _check(d: Derivation, path: tuple[int, ...], moved: bool = False) -> None:
                 _fail("RuleShape", path, "the avoid set must be finite")
             if d.cofinite.avoid.member(w):
                 _fail("WitnessInL", path, f"witness {w!r} lies in the avoid set")
-            if t.support().member(w):
+            if _occurs(w, t):
                 _fail("FreshnessViolated", path, f"witness {w!r} occurs in the conclusion")
     env, proc = t.src.env, t.src.proc
 
@@ -695,14 +787,32 @@ def weaken(d: Derivation, extra_env: NameSet, extra_witnesses: int = 1) -> Deriv
 
 
 def _weaken(d: Derivation, xe: NameSet) -> Derivation:
-    if d.cofinite and xe.member(d.cofinite.witness):
-        d = _moved(d, fresh(d.support().union(xe)))
-    t = d.conclusion
-    concl = Transition(
-        Config(t.src.env.union(xe), t.src.proc), t.action, Config(t.dst.env.union(xe), t.dst.proc)
-    )
-    cof = Cofinite(d.cofinite.avoid.union(xe), d.cofinite.witness) if d.cofinite else None
-    return Derivation(d.rule, concl, tuple(_weaken(p, xe) for p in d.premises), cof, d.side)
+    # Bottom-up with an explicit stack, each distinct node once: out maps
+    # id(node) to (node, its weakened copy), so shared premises stay shared.
+    # A node whose witness clashes with xe is first re-witnessed by _moved,
+    # and its moved premises are weakened in turn.
+    out: dict = {}
+    moves: dict = {}
+    todo = [(d, None)]
+    while todo:
+        q, r = todo.pop()
+        if id(q) in out:
+            continue
+        if r is None:  # first visit: re-witness, then weaken the premises first
+            r = q
+            if q.cofinite and xe.member(q.cofinite.witness):
+                r = _moved(q, fresh(q.support().union(xe)), moves)
+            todo.append((q, r))
+            todo += [(p, None) for p in r.premises]
+            continue
+        t = r.conclusion
+        concl = Transition(
+            Config(t.src.env.union(xe), t.src.proc), t.action, Config(t.dst.env.union(xe), t.dst.proc)
+        )
+        cof = Cofinite(r.cofinite.avoid.union(xe), r.cofinite.witness) if r.cofinite else None
+        premises = tuple(out[id(p)][1] for p in r.premises)
+        out[id(q)] = q, Derivation(r.rule, concl, premises, cof, r.side)
+    return out[id(d)][1]
 
 
 # ------------- traces -------------
@@ -758,9 +868,12 @@ def rename_trace(t: Trace, n: Atom, m: Atom, extra_witnesses: int = 1) -> Trace:
     if base.member(n) or base.member(m):
         raise NotFreshAtStart(f"{n!r} and {m!r} must both be fresh for the start configuration")
     sw = swap(n, m)
-    steps = tuple(s.perm_apply(sw) for s in t.steps)
-    for s in steps:
-        check(s.deriv, extra_witnesses)
+    # One mover's table and one check_each: what the steps share is moved and checked once.
+    moves: dict = {}
+    steps = tuple(TraceStep(s.action.perm_apply(sw), _move(s.config, sw, moves), s.deriv.perm_apply(sw, moves))
+                  for s in t.steps)
+    for _ in check_each([s.deriv for s in steps], extra_witnesses):
+        pass
     return Trace(t.start, steps)
 
 

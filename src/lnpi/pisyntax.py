@@ -20,6 +20,7 @@ property).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -49,7 +50,8 @@ class Free(Name):
         return True
 
     def perm_apply(self, p: Permutation) -> Name:
-        return Free(p(self.atom))
+        moved = p(self.atom)
+        return self if moved is self.atom else Free(moved)
 
     def support(self) -> NameSet:
         return NameSet.finite([self.atom])
@@ -146,23 +148,33 @@ class Rep(Term):
 
 
 def map_names(t: Term, f: Callable[[Name, int], Name], i: int = 0) -> Term:
-    """t with each name n found under d binders replaced by f(n, i + d)."""
+    """t with each name n found under d binders replaced by f(n, i + d).  A
+    subterm whose names all map to themselves is kept, not rebuilt, so equal
+    parts stay one object and compare by identity."""
     match t:
         case Nil():
             return t
         case Sum(fam):
-            return Sum(IndexedFamily(tuple(map_names(e, f, i) for e in fam.entries),
-                                     map_names(fam.default, f, i)))
+            entries = tuple(map_names(e, f, i) for e in fam.entries)
+            default = map_names(fam.default, f, i)
+            if default is fam.default and all(map(operator.is_, entries, fam.entries)):
+                return t
+            return Sum(IndexedFamily(entries, default))
         case Inp(c, b):
-            return Inp(f(c, i), map_names(b, f, i + 1))
+            c2, b2 = f(c, i), map_names(b, f, i + 1)
+            return t if c2 is c and b2 is b else Inp(c2, b2)
         case Out(c, m, k):
-            return Out(f(c, i), f(m, i), map_names(k, f, i))
+            c2, m2, k2 = f(c, i), f(m, i), map_names(k, f, i)
+            return t if c2 is c and m2 is m and k2 is k else Out(c2, m2, k2)
         case Par(l, r):
-            return Par(map_names(l, f, i), map_names(r, f, i))
+            l2, r2 = map_names(l, f, i), map_names(r, f, i)
+            return t if l2 is l and r2 is r else Par(l2, r2)
         case Res(b):
-            return Res(map_names(b, f, i + 1))
+            b2 = map_names(b, f, i + 1)
+            return t if b2 is b else Res(b2)
         case Rep(b):
-            return Rep(map_names(b, f, i))
+            b2 = map_names(b, f, i)
+            return t if b2 is b else Rep(b2)
     raise TypeError(f"not a term: {t!r}")
 
 

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lnpi import props
+from lnpi import codec, lts, props
 from lnpi.atoms import Atom, is_natural
 from lnpi.cli import main
-from lnpi.codec import DecodeError
+from lnpi.codec import DecodeError, shared
 from lnpi.gen import rand_term
 from lnpi.lts import (
     Action,
@@ -619,3 +619,108 @@ def test_rename_trace_checks_the_chain_before_renaming() -> None:
             rename_trace(cut, n, m)
         assert (err.value.reason, err.value.path) == ("TraceMismatch", ())
     assert rename_trace(tr, Atom(5), Atom(6)).steps[0].config == s.config
+
+
+# ------------- sharing within one call -------------
+
+
+class NeverStores(dict):
+    """A sharing table that forgets everything: every record is built and encoded anew."""
+
+    def __setitem__(self, key, value) -> None:
+        pass
+
+
+def fuel_6_file(capsys, tmp_path):
+    path = tmp_path / "r6.json"
+    run(capsys, "step", "-e", "c", "--fuel", "6", "*(new n. c!n.0) | *(c?(x). x!x.0)", "--deriv", str(path))
+    return path
+
+
+def occurrences(derivs) -> list:
+    """Every node of derivs, a shared one once per place it occurs."""
+    out, todo = [], list(derivs)
+    while todo:
+        d = todo.pop()
+        out.append(d)
+        todo += d.premises
+    return out
+
+
+def test_shared_decoding_builds_each_distinct_node_once(capsys, tmp_path) -> None:
+    data = json.loads(fuel_6_file(capsys, tmp_path).read_text())
+    with shared():
+        derivs = [Derivation.from_json(e) for e in data]
+    plain = [codec._kind(Derivation).dec(e, NeverStores()) for e in data]
+    assert derivs == plain
+    # ROADMAP: the fuel-6 file holds 816 derivation nodes, 107 of them distinct.
+    nodes = occurrences(derivs)
+    assert len(nodes) == len(occurrences(plain)) == 816
+    assert len({id(d) for d in occurrences(plain)}) == 816
+    ids_by_value: dict = {}
+    for d in nodes:
+        ids_by_value.setdefault(json.dumps(d.to_json(NeverStores()), sort_keys=True), set()).add(id(d))
+    assert len(ids_by_value) == 107
+    assert all(len(ids) == 1 for ids in ids_by_value.values())
+    # Below the nodes too: equal configurations and tuples are one object.
+    configs = [c for d in nodes for c in (d.conclusion.src, d.conclusion.dst)]
+    assert len({id(c) for c in configs}) == len({json.dumps(c.to_json(), sort_keys=True) for c in configs})
+    empty = [d.premises for d in nodes if not d.premises]
+    assert empty and all(p is empty[0] for p in empty)
+
+
+def test_shared_decoding_keeps_leaf_ints_apart_from_identities() -> None:
+    # Bound(i) is keyed by the value i and Free(a) by the atom, so no
+    # identity of a shared child can stand in for either.
+    with shared():
+        names = [name_from_json(x) for x in ({"bound": 0}, {"free": 0}, {"bound": 0}, {"bound": 1})]
+    assert names == [Bound(0), Free(Atom(0)), Bound(0), Bound(1)]
+    assert names[0] is names[2] and names[3] is not names[0]
+    terms = [term_from_json(x) for x in ({"tag": "rep", "body": {"tag": "nil"}}, {"tag": "res", "body": {"tag": "nil"}})]
+    assert terms == [Rep(Nil()), Res(Nil())]
+
+
+def test_shared_encoding_writes_the_plain_json(capsys, tmp_path) -> None:
+    path = fuel_6_file(capsys, tmp_path)
+    data = json.loads(path.read_text())
+    with shared():
+        derivs = [Derivation.from_json(e) for e in data]
+        encoded = [d.to_json() for d in derivs]
+    plain = [d.to_json(NeverStores()) for d in derivs]
+    assert encoded == plain == data
+    assert path.read_text() == json.dumps(plain, sort_keys=True)
+    dicts, todo = [], list(encoded)
+    while todo:
+        x = todo.pop()
+        if type(x) is dict:
+            dicts.append(x)
+            todo += x.values()
+        elif type(x) is list:
+            todo += x
+    assert len({id(x) for x in dicts}) < len(dicts) / 4  # each distinct record encoded once
+
+
+def test_no_sharing_table_outlives_its_call(capsys, tmp_path) -> None:
+    path = fuel_6_file(capsys, tmp_path)
+    data = json.loads(path.read_text())
+    derivs = [Derivation.from_json(e) for e in data]
+    run(capsys, "check-deriv", str(path))
+
+    def module_state():
+        return {(mod.__name__, name): len(value) for mod in (codec, lts) for name, value in vars(mod).items()
+                if isinstance(value, (dict, list, set)) and not name.startswith("__")}
+
+    before = module_state()
+    assert codec._SHARED == []
+    with pytest.raises(DecodeError):
+        with shared():
+            Derivation.from_json(data[0])
+            Derivation.from_json({"rule": 1})
+    assert codec._SHARED == []
+    checking = lts.check_each(derivs, 2)
+    assert list(checking) == derivs and checking.gi_frame is None  # its tables went with its frame
+    traced, _ = trace_file(capsys, tmp_path)
+    assert run(capsys, "rename", str(traced), "n1", "m")[0] == 0
+    assert run(capsys, "check-deriv", str(path))[0] == 0
+    assert run(capsys, "step", "-e", "c", "--fuel", "3", SERVER, "--deriv", str(path))[0] == 0
+    assert module_state() == before

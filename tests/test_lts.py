@@ -994,8 +994,8 @@ def test_a_failure_under_a_moved_node_is_reported_at_the_cofinite_node(monkeypat
     # a defect in the moved copies to see where their failures are reported.
     d = res_example()
     planted = Derivation("Frob", d.premises[0].conclusion)
-    monkeypatch.setattr(lts, "_moved", lambda q, w2: Derivation(q.rule, q.conclusion, (planted,),
-                                                               Cofinite(q.cofinite.avoid, w2)))
+    monkeypatch.setattr(lts, "_moved", lambda q, w2, moves: Derivation(q.rule, q.conclusion, (planted,),
+                                                                      Cofinite(q.cofinite.avoid, w2)))
     check(d)
     w2 = d.support().least_outside(1)[0]
     with pytest.raises(CheckError) as err:
@@ -1010,8 +1010,8 @@ def test_a_moved_node_still_compares_its_premises_at_the_new_witness(monkeypatch
     cfg = Config(fin(0), Res(Par(Out(Bound(0), Bound(0), Nil()), Inp(F(0), Nil()))))
     d = next(d for _, d in step(cfg).results if d.rule == "Res")
     check(d, 2)
-    monkeypatch.setattr(lts, "_moved", lambda q, w2: Derivation(q.rule, q.conclusion, q.premises,
-                                                               Cofinite(q.cofinite.avoid, w2)))
+    monkeypatch.setattr(lts, "_moved", lambda q, w2, moves: Derivation(q.rule, q.conclusion, q.premises,
+                                                                      Cofinite(q.cofinite.avoid, w2)))
     w2 = d.support().least_outside(1)[0]
     with pytest.raises(CheckError) as err:
         check(d, 1)
@@ -1063,6 +1063,121 @@ def test_moving_a_cofinite_node_permutes_it_whole() -> None:
     assert moves > 400
 
 
+# ------------- the share-aware walk -------------
+
+
+class ValueKeys:
+    """One canonical object per derivation value met, found once per object:
+    a node's key is its rule, its conclusion's canonical object, its
+    premises' keys, its cofinite record and its side data."""
+
+    def __init__(self) -> None:
+        self.canon: dict = {}
+        self.keys: dict = {}  # id(node) -> (node, canonical node)
+
+    def __call__(self, d: Derivation) -> Derivation:
+        found = self.keys.get(id(d))
+        if found is None:
+            t = self.canon.setdefault(d.conclusion, d.conclusion)
+            parts = (d.rule, id(t), tuple(id(self(q)) for q in d.premises), d.cofinite, d.side)
+            found = self.keys[id(d)] = d, self.canon.setdefault(parts, d)
+        return found[1]
+
+
+def checked_nodes(monkeypatch, run, keys: ValueKeys) -> tuple[set, int]:
+    """The distinct (node value, guards skipped) pairs run() hands to _check,
+    as (canonical node id, flag), and the number of _check calls it makes."""
+    seen = set()
+    calls = 0
+    real = lts._check
+
+    def recording(d, path, moved=False):
+        nonlocal calls
+        calls += 1
+        seen.add((id(keys(d)), moved))
+        real(d, path, moved)
+
+    with monkeypatch.context() as m:
+        m.setattr(lts, "_check", recording)
+        run()
+    return seen, calls
+
+
+def test_the_shared_walk_checks_what_a_table_that_never_stores_checks(monkeypatch) -> None:
+    corpus = lemma_configs_at_fuel_2(monkeypatch)
+    corpus += [(cfg, fuel) for cfg in (ROADMAP_PROCESS, SERVER) for fuel in range(1, 13)]
+    # Each distinct derivation once: more fuel mostly repeats those of less.
+    derivs = list(dict.fromkeys(d for cfg, fuel in corpus for _, d in step(cfg, fuel).results))
+    keys = ValueKeys()
+    for extra in range(4):
+        plain, plain_calls = checked_nodes(
+            monkeypatch, lambda: [lts._walk(d, extra, NeverStores(), {}) for d in derivs], keys)
+        shared, shared_calls = checked_nodes(monkeypatch, lambda: list(lts.check_each(derivs, extra)), keys)
+        assert shared == plain
+        assert shared_calls < plain_calls
+
+
+def test_single_node_mutants_after_their_original_fail_as_in_the_recursive_checker(monkeypatch) -> None:
+    # The original's nodes fill the table first; the mutant shares every
+    # node but the mutated one and its ancestors.
+    corpus = lemma_configs_at_fuel_2(monkeypatch)
+    corpus += [(cfg, fuel) for cfg in (ROADMAP_PROCESS, SERVER) for fuel in range(1, 4)]
+    derivs = [d for cfg, fuel in corpus for _, d in step(cfg, fuel).results] + [res_example()]
+    count = 0
+    for d in derivs:
+        for path, q in paths(d):
+            for m in node_mutants(q):
+                bad = mutated(d, path, m)
+                want = check_outcome(ref_check, bad, 2)
+                assert check_outcome(lambda x, k: list(lts.check_each([d, x], k)), bad, 2) == want, (path, m)
+                count += want is not None
+    assert count > 1000
+
+
+def restricted(d: Derivation) -> Derivation:
+    """d under a restriction its processes do not use: a Res node at the
+    least atom outside d's support."""
+    t = d.conclusion
+    w = fresh(d.support())
+    src = Config(t.src.env, Res(t.src.proc.close_at(0, w)))
+    dst = Config(t.dst.env, Res(t.dst.proc.close_at(0, w)))
+    avoid = union_all(t.src.env, free_names(t.src.proc))
+    return Derivation("Res", Transition(src, t.action, dst), (d,), Cofinite(avoid, w))
+
+
+@pytest.mark.parametrize("unfoldings", [300, 500])
+def test_a_restriction_over_a_long_chain_checks_and_weakens(unfoldings) -> None:
+    # 603 and 1003 Rep/Par-R nodes under one Res node: checking it at extra
+    # witnesses moves the whole chain, and weakening walks it.
+    d = restricted(replicated_output(unfoldings))
+    check(d, 2)
+    out = weaken(d, fin(5))
+    assert out.conclusion.src.env == fin(0, 5) and out.cofinite == Cofinite(fin(0, 5), a[1])
+    q = out
+    while q.premises:
+        q = q.premises[0]
+    assert q.conclusion.dst.env == fin(0, 5)
+
+
+def test_weaken_re_witnesses_a_restriction_over_a_long_chain() -> None:
+    d = restricted(replicated_output(300))
+    out = weaken(d, fin(1))  # the witness itself: the Res node moves the chain to a2
+    assert out.cofinite == Cofinite(fin(0, 1), a[2])
+    assert out.premises[0].conclusion.src.env == fin(0, 1)
+
+
+def test_the_mover_keeps_sharing_and_moves_each_node_once() -> None:
+    d = open_example()
+    twice = Derivation("Comm-L", d.conclusion, (d, d))
+    sw = swap(a[0], a[9])
+    moves: dict = {}
+    out = twice.perm_apply(sw, moves)
+    assert out == ref_derivation_perm(twice, sw)
+    assert out.premises[0] is out.premises[1]
+    assert d.perm_apply(sw, moves) is out.premises[0]
+    assert len([k for k in moves if k[0] in (id(d), id(twice))]) == 2
+
+
 # ------------- weakening -------------
 
 
@@ -1110,6 +1225,42 @@ def test_weaken_by_nothing_changes_only_nothing() -> None:
     d = res_example()
     out = weaken(d, NameSet.empty())
     assert out == d
+
+
+def ref_weaken(d: Derivation, xe: NameSet) -> Derivation:
+    """_weaken as it recursed before it walked with an explicit stack."""
+    if d.cofinite and xe.member(d.cofinite.witness):
+        w2 = fresh(d.support().union(xe))
+        sw = swap(d.cofinite.witness, w2)
+        d = Derivation(d.rule, d.conclusion, tuple(ref_derivation_perm(q, sw) for q in d.premises),
+                       Cofinite(d.cofinite.avoid, w2), d.side)
+    t = d.conclusion
+    concl = Transition(
+        Config(t.src.env.union(xe), t.src.proc), t.action, Config(t.dst.env.union(xe), t.dst.proc)
+    )
+    cof = Cofinite(d.cofinite.avoid.union(xe), d.cofinite.witness) if d.cofinite else None
+    return Derivation(d.rule, concl, tuple(ref_weaken(p, xe) for p in d.premises), cof, d.side)
+
+
+def test_weaken_walk_matches_the_recursive_one(monkeypatch) -> None:
+    corpus = lemma_configs_at_fuel_2(monkeypatch) + [(ROADMAP_PROCESS, 6), (SERVER, 6)]
+    corpus += [(rand_config(random.Random(seed)), 2) for seed in range(200)]
+    derivs = [d for cfg, fuel in corpus for _, d in step(cfg, fuel).results]
+    clashes = 0
+    for d in derivs:
+        witnesses = [q.cofinite.witness for q in walk(d) if q.cofinite]
+        for xe in [fin(11), NameSet.finite([fresh(d.support())]), NameSet.finite(witnesses)]:
+            assert lts._weaken(d, xe) == ref_weaken(d, xe), (d, xe)
+        clashes += bool(witnesses)
+    assert clashes > 100
+
+
+def test_weaken_keeps_shared_premises_shared() -> None:
+    d = res_example()
+    twice = Derivation("Comm-L", d.conclusion, (d, d))
+    out = lts._weaken(twice, NameSet.finite([d.cofinite.witness]))
+    assert out.premises[0] is out.premises[1]
+    assert out.premises[0] == ref_weaken(d, NameSet.finite([d.cofinite.witness]))
 
 
 # ------------- replay -------------
