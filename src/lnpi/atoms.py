@@ -113,10 +113,6 @@ def swap(a: Atom, b: Atom) -> Permutation:
     return Permutation(((a.index, b.index), (b.index, a.index)))
 
 
-def perm_apply(p: Permutation, a: Atom) -> Atom:
-    return p(a)
-
-
 def compose(p1: Permutation, p2: Permutation) -> Permutation:
     """p2 first, then p1: compose(p1, p2)(a) = p1(p2(a))."""
     carrier = {s for s, _ in p1.pairs} | {s for s, _ in p2.pairs}

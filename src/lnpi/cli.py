@@ -16,7 +16,7 @@ import re
 import sys
 
 from .atoms import Atom, Permutation, is_natural
-from .codec import DecodeError, shared
+from .codec import DecodeError
 from .lts import (
     Action,
     BoundOutput,
@@ -116,7 +116,7 @@ def _load_json(path: str):
             return json.load(fh)
     except RecursionError as e:
         raise ParseError(f"{path} is nested too deeply", 0) from e
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ParseError(f"cannot read {path}: {e}", 0) from e
 
 
@@ -127,7 +127,7 @@ def _decoded(path: str, what: str, read):
     except RecursionError as e:
         raise ParseError(f"{path} is nested too deeply", 0) from e
     except DecodeError as e:
-        raise ParseError(f"{path} is not a {what}", 0) from e
+        raise ParseError(f"{path} is not a {what}: {e}", 0) from e
 
 
 def _names_json(symtab: Symtab) -> dict[str, int]:
@@ -180,8 +180,8 @@ def cmd_step(args) -> int:
     cfg, symtab = _session(args)
     result = step(cfg, args.fuel)
     if args.deriv:
-        with shared():  # what the derivations share is encoded once
-            _write_json(args.deriv, [d.to_json() for _, d in result.results])
+        table: dict = {}  # what the derivations share is encoded once
+        _write_json(args.deriv, [d.to_json(table) for _, d in result.results])
     if args.json:
         _emit_json(
             {
@@ -270,10 +270,18 @@ def cmd_check_deriv(args) -> int:
     data = _load_json(args.file)
     listed = data if isinstance(data, list) else [data]
     # Every entry is decoded before any is checked, so a malformed file prints
-    # no "ok".  One shared() block and one check_each decode and check each
+    # no "ok".  One table and one check_each decode and check each
     # sub-derivation the entries repeat once.
-    with shared():
-        derivs = _decoded(args.file, "derivation file", lambda: [Derivation.from_json(e) for e in listed])
+    def read():
+        table, derivs = {}, []
+        try:
+            for entry in listed:
+                derivs.append(Derivation.from_json(entry, table))
+        except DecodeError as e:
+            raise e.at(len(derivs)) if listed is data else e
+        return derivs
+
+    derivs = _decoded(args.file, "derivation file", read)
     for d in check_each(derivs, args.witnesses):
         print(f"ok [{d.rule}] {_action_str(d.conclusion.action, {})}")
     return 0

@@ -13,8 +13,9 @@ with its own ``to_json``/``from_json``/``key``.  Decoding checks the tag,
 the exact key set and each kind, raising ``DecodeError`` with the JSON
 path; ``key()`` orders by the tag (or key set), then each field's key.
 
-Both directions keep sharing within one outermost call, or within a
-``shared()`` block, through a table that lives that long only.  The
+Both directions keep sharing within one outermost call through a table
+that lives that long only: a plain dict, which a caller passes to several
+``to_json`` or several ``from_json`` calls to share across them.  The
 decoder builds nodes bottom-up, and a record or tuple equal to one already
 built is that object: its key is the kind, the identities of its children
 (themselves shared already) and the values of its leaves (``Atom``,
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import types
 import typing
-from contextlib import contextmanager
 from dataclasses import is_dataclass
 from functools import partial
 from itertools import islice
@@ -68,7 +68,7 @@ class Record:
         """self's JSON value.  table, passed by the encoder to the records
         inside, maps id(record) to (record, JSON value) for those encoded."""
         if table is None:
-            table = _SHARED[-1] if _SHARED else {}
+            table = {}
         found = table.get(id(self))
         if found is not None:
             return found[1]
@@ -80,9 +80,10 @@ class Record:
         return out
 
     @classmethod
-    def from_json(cls, data):
-        """The cls value that data writes; raises DecodeError on any other shape."""
-        return _kind(cls).dec(data, _SHARED[-1] if _SHARED else {})
+    def from_json(cls, data, table: dict | None = None):
+        """The cls value that data writes; raises DecodeError on any other shape.
+        table maps each key (see above) to the object decoded for it."""
+        return _kind(cls).dec(data, {} if table is None else table)
 
     def key(self) -> tuple:
         kind = _KINDS.get(type(self)) or _kind(type(self))
@@ -90,21 +91,6 @@ class Record:
         for get, key in kind.sorts:
             out.append(key(get(self)))
         return tuple(out)
-
-
-# The table of the innermost open shared() block, if any.
-_SHARED: list[dict] = []
-
-
-@contextmanager
-def shared():
-    """Within the block, the outermost to_json and from_json calls share one
-    table, as if they were one call; it is dropped when the block ends."""
-    _SHARED.append(_SHARED[-1] if _SHARED else {})
-    try:
-        yield
-    finally:
-        _SHARED.pop()
 
 
 def _decode(kind: _Kind, data, table: dict):  # a union's member is picked here, in the same frame

@@ -30,7 +30,7 @@ visible action widens the environment, which is part of every key, so a
 later step would find little of an earlier one's table.
 
 Derivations share sub-derivations: the memo hands one premise to many
-parents, and a decoded file shares what its entries repeat (see
+parents, and a file decoded through one table shares what it repeats (see
 ``lnpi.codec``).  The moving and checking keep that sharing and do the work
 once per distinct node, through tables that live for one call, are keyed
 by object identity and hold each keyed object, so no identity is reused
@@ -69,7 +69,6 @@ from .pisyntax import (
     Term,
     free_names,
     term_atom_list,
-    term_lc_at,
     term_size,
 )
 
@@ -289,7 +288,7 @@ def _step(cfg: Config, fuel: int, memo: dict) -> StepResult:
     """step() with a caller-supplied memo table for _derivs."""
     if not cfg.env.is_finite():
         raise IllFormedConfig("environment must be a finite set")
-    if not term_lc_at(0, cfg.proc):
+    if not cfg.proc.lc_at(0):
         raise IllFormedConfig("process must be locally closed")
     derivs, complete = _derivs(cfg.env, cfg.proc, fuel, NameSet.empty(), memo=memo)
     base = cfg.support()
@@ -579,7 +578,7 @@ def _fail(reason: str, path: tuple[int, ...], message: str):
 def _require_config(cfg: Config, path, what: str) -> None:
     if not cfg.env.is_finite():
         _fail("RuleShape", path, f"{what} environment is not finite")
-    if not term_lc_at(0, cfg.proc):
+    if not cfg.proc.lc_at(0):
         _fail("RuleShape", path, f"{what} process is not locally closed")
 
 

@@ -2,15 +2,15 @@
 
 Only the leaves (atoms, permutations, name sets, names, terms) implement
 ``perm_apply``/``support`` themselves.  A composite is a frozen dataclass
-deriving from ``PermValue``, which defines its permutation action, its
-support and the level-preserving ``open_at``/``close_at``/``lc_at``
-pointwise over the fields named in ``__match_args__``: the generic
+deriving from ``PermValue``, which defines its permutation action and its
+support pointwise over the fields named in ``__match_args__``: the generic
 definition of the Nominal approach, written once.  Tuples, lists and
 frozensets are containers with the same pointwise structure;
 ``components`` lists the parts of any container and ``map_components``
-rebuilds one from mapped parts.  The module-level ``apply``/``supp`` give
-atoms-free primitives (ints, strings, booleans, None) the trivial action
-with empty support.
+rebuilds one from mapped parts, which is all ``lnpi.binding`` needs to
+open, close and decide local closure of a composite.  The module-level
+``apply``/``supp`` give atoms-free primitives (ints, strings, booleans,
+None) the trivial action with empty support.
 """
 
 from __future__ import annotations
@@ -28,9 +28,7 @@ _CONTAINERS = (tuple, list, frozenset)
 
 class PermValue:
     """A composite permutation value: a dataclass whose fields are
-    permutation values, acted on, supported, opened and closed pointwise.
-    Opening and closing do not shift the level; only the binders of the
-    process syntax do."""
+    permutation values, acted on and supported pointwise."""
 
     def perm_apply(self, p: Permutation) -> Any:
         return map_components(partial(apply, p), self)
@@ -43,21 +41,6 @@ class PermValue:
         if atoms:
             sets.append(NameSet.finite(atoms))
         return sets[0] if len(sets) == 1 else union_all(*sets)
-
-    def open_at(self, i: int, x: Atom) -> Any:
-        from .binding import open_at
-
-        return map_components(partial(open_at, i, x), self)
-
-    def close_at(self, i: int, x: Atom) -> Any:
-        from .binding import close_at
-
-        return map_components(partial(close_at, i, x), self)
-
-    def lc_at(self, i: int) -> bool:
-        from .binding import lc_at
-
-        return all(map(partial(lc_at, i), components(self)))
 
 
 def components(t) -> list | tuple | frozenset:

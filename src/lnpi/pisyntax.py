@@ -8,11 +8,12 @@ Only ``Inp`` and ``Res`` shift the level, and that rule lives in two
 traversals (the generic scheme of Charguéraud, *The Locally Nameless
 Representation*, JAR 2012): ``map_names`` rebuilds a term with each name
 replaced by a function of the name and its level, and ``name_levels``
-lists the names with their levels in preorder.  Opening, closing, the
-permutation action, ``term_lc_at`` and the free atoms are one line each
-over these two, with the per-name cases as methods of ``Free``/``Bound``.
+lists the names with their levels in preorder.  The methods
+``Term.open_at``, ``close_at``, ``perm_apply`` and ``lc_at``, and the free
+atoms, are one line each over these two, with the per-name cases as
+methods of ``Free``/``Bound``.
 
-Two local-closure deciders are exposed: ``term_lc_at`` compares each
+Two local-closure deciders are exposed: ``Term.lc_at`` compares each
 bound index with its level, ``term_lc`` follows the inductive definition,
 opening each binder body with fresh witnesses.  They agree (tested
 property).
@@ -83,19 +84,19 @@ name_from_json = Name.from_json
 
 class Term(Record):
     def open_at(self, i: int, x: Atom) -> Term:
-        return term_open_at(i, x, self)
+        return map_names(self, lambda n, d: n.open_at(d, x), i)
 
     def close_at(self, i: int, x: Atom) -> Term:
-        return term_close_at(i, x, self)
+        return map_names(self, lambda n, d: n.close_at(d, x), i)
 
     def lc_at(self, i: int) -> bool:
-        return term_lc_at(i, self)
+        return all(n.lc_at(d) for n, d in name_levels(self, i))
 
     def lc_cofinite(self) -> bool:
         return term_lc(self)
 
     def perm_apply(self, p: Permutation) -> Term:
-        return term_perm(p, self)
+        return map_names(self, lambda n, _: n.perm_apply(p))
 
     def support(self) -> NameSet:
         return free_names(self)
@@ -207,22 +208,6 @@ def name_levels(t: Term, i: int = 0, out: list | None = None) -> list[tuple[Name
     return out
 
 
-def term_open_at(i: int, x: Atom, t: Term) -> Term:
-    return map_names(t, lambda n, d: n.open_at(d, x), i)
-
-
-def term_close_at(i: int, x: Atom, t: Term) -> Term:
-    return map_names(t, lambda n, d: n.close_at(d, x), i)
-
-
-def term_perm(p: Permutation, t: Term) -> Term:
-    return map_names(t, lambda n, _: n.perm_apply(p))
-
-
-def term_lc_at(i: int, t: Term) -> bool:
-    return all(n.lc_at(d) for n, d in name_levels(t, i))
-
-
 def term_atom_list(t: Term) -> list[Atom]:
     """Free atoms in preorder, with repeats."""
     return [n.atom for n, _ in name_levels(t) if isinstance(n, Free)]
@@ -247,7 +232,7 @@ def term_lc(t: Term) -> bool:
             return all(term_lc(e) for e in f.parts())
         case Inp(c, b):
             return isinstance(c, Free) and all(
-                term_lc(term_open_at(0, w, b)) for w in free_names(b).least_outside(1 + LC_EXTRA_WITNESSES)
+                term_lc(b.open_at(0, w)) for w in free_names(b).least_outside(1 + LC_EXTRA_WITNESSES)
             )
         case Out(c, m, k):
             return isinstance(c, Free) and isinstance(m, Free) and term_lc(k)
@@ -255,7 +240,7 @@ def term_lc(t: Term) -> bool:
             return term_lc(l) and term_lc(r)
         case Res(b):
             return all(
-                term_lc(term_open_at(0, w, b)) for w in free_names(b).least_outside(1 + LC_EXTRA_WITNESSES)
+                term_lc(b.open_at(0, w)) for w in free_names(b).least_outside(1 + LC_EXTRA_WITNESSES)
             )
         case Rep(b):
             return term_lc(b)

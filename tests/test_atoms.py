@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lnpi.atoms import Atom, Permutation, compose, identity, perm_apply, swap
+from lnpi.atoms import Atom, Permutation, compose, identity, swap
 
 
 # ------------- Atoms: construction and ordering -------------
@@ -70,7 +70,7 @@ def test_swap_exchanges_exactly_its_two_atoms() -> None:
 
 def test_perm_apply_function_matches_call() -> None:
     s = swap(Atom(2), Atom(5))
-    assert perm_apply(s, Atom(2)) == s(Atom(2)) == Atom(5)
+    assert Atom(2).perm_apply(s) == s(Atom(2)) == Atom(5)
 
 
 def test_compose_applies_right_factor_first() -> None:

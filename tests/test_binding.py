@@ -30,8 +30,8 @@ def test_open_close_are_pointwise_on_tuples_and_lists() -> None:
 def test_containers_do_not_shift_the_level() -> None:
     # only Inp/Res bodies shift; a family is a plain container
     f = IndexedFamily((Bound(1),), Bound(0))
-    assert f.open_at(1, a[2]) == IndexedFamily((Free(a[2]),), Bound(0))
-    assert f.open_at(0, a[2]) == IndexedFamily((Bound(1),), Free(a[2]))
+    assert open_at(1, a[2], f) == IndexedFamily((Free(a[2]),), Bound(0))
+    assert open_at(0, a[2], f) == IndexedFamily((Bound(1),), Free(a[2]))
 
 
 def test_open0_close0_are_level_zero() -> None:
@@ -60,8 +60,8 @@ def test_lc_at_counts_dangling_levels() -> None:
 def test_lc_at_on_containers_is_the_conjunction() -> None:
     assert lc_at(2, (Bound(0), [Bound(1)]))
     assert not lc_at(2, (Bound(0), [Bound(2)]))
-    assert FiniteTermSet.of([Bound(0)]).lc_at(1)
-    assert not FiniteTermSet.of([Bound(0)]).lc_at(0)
+    assert lc_at(1, FiniteTermSet.of([Bound(0)]))
+    assert not lc_at(0, FiniteTermSet.of([Bound(0)]))
 
 
 def test_opening_lowers_the_required_level() -> None:

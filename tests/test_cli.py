@@ -9,6 +9,7 @@ from lnpi.namesets import NameSet
 from lnpi.parsing import parse
 
 SERVER = "*( new n. c?(x). x!n. 0 )"
+DERIVATION_KEYS = "['cofinite', 'conclusion', 'premises', 'rule', 'side']"
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -47,6 +48,18 @@ def test_lc_accepts_parsed_processes(capsys) -> None:
     code, out, _ = run(capsys, "lc", "new c. n!c. c?(x). 0")
     assert code == 0
     assert out == "true\n"
+
+
+@pytest.mark.parametrize(
+    "command, printed",
+    [
+        ("fmt", '{"body": {"chan": {"free": 0}, "cont": {"tag": "nil"}, "msg": {"bound": 0}, "tag": "out"}, "tag": "res"}'),
+        ("supp", '{"add": [0], "mod": 1, "remove": [], "res": []}'),
+        ("lc", '{"lc": true}'),
+    ],
+)
+def test_json_output_of_a_process(capsys, command, printed) -> None:
+    assert run(capsys, command, "new c. n!c. 0", "--json") == (0, printed + "\n", "")
 
 
 # ------------- step -------------
@@ -133,18 +146,21 @@ def test_check_deriv_rejects_a_wrong_shape_file(capsys, tmp_path) -> None:
     wrong.write_text(json.dumps({"start": {}, "steps": []}))
     code, _, err = run(capsys, "check-deriv", str(wrong))
     assert code == 1
-    assert err == f"syntax error: {wrong} is not a derivation file (at position 0)\n"
+    assert err == (f"syntax error: {wrong} is not a derivation file: at /: expected the keys"
+                   f" {DERIVATION_KEYS}, got ['start', 'steps'] (at position 0)\n")
 
 
 @pytest.mark.parametrize(
-    "corrupt",
+    "corrupt, message",
     [
-        lambda env: env["add"].append(-1),  # a negative atom index
-        lambda env: env.update(mod=100_000_000, res=[0]),  # a modulus past the bound
+        (lambda env: env["add"].append(-1),  # a negative atom index
+         "at /0/conclusion/src/env/add/1: expected a natural number, got -1"),
+        (lambda env: env.update(mod=100_000_000, res=[0]),  # a modulus past the bound
+         "at /0/conclusion/src/env/mod: expected a modulus in 1..64, got 100000000"),
     ],
     ids=["negative-index", "huge-modulus"],
 )
-def test_check_deriv_rejects_a_bad_name_set(capsys, tmp_path, corrupt) -> None:
+def test_check_deriv_rejects_a_bad_name_set(capsys, tmp_path, corrupt, message) -> None:
     deriv = tmp_path / "derivs.json"
     run(capsys, "step", "-e", "n", "new c. n!c. 0", "--deriv", str(deriv))
     data = json.loads(deriv.read_text())
@@ -152,7 +168,7 @@ def test_check_deriv_rejects_a_bad_name_set(capsys, tmp_path, corrupt) -> None:
     deriv.write_text(json.dumps(data))
     code, _, err = run(capsys, "check-deriv", str(deriv))
     assert code == 1
-    assert err == f"syntax error: {deriv} is not a derivation file (at position 0)\n"
+    assert err == f"syntax error: {deriv} is not a derivation file: {message} (at position 0)\n"
 
 
 @pytest.mark.parametrize(
@@ -171,22 +187,23 @@ def test_check_deriv_rejects_a_bad_name(capsys, tmp_path, name) -> None:
     deriv.write_text(json.dumps(data))
     code, out, err = run(capsys, "check-deriv", str(deriv))
     assert (code, out) == (1, "")
-    assert err == f"syntax error: {deriv} is not a derivation file (at position 0)\n"
+    assert err == (f"syntax error: {deriv} is not a derivation file: at /0/conclusion/src/proc/right/chan/bound:"
+                   f" expected a natural number, got {name['bound']!r} (at position 0)\n")
 
 
 @pytest.mark.parametrize("value", [True, 1.0, -1, "1"], ids=["bool", "float", "negative", "string"])
 @pytest.mark.parametrize(
-    "process, where",
+    "process, where, expected",
     [
-        ("new c. n!c. 0", ("side", "atom")),  # Open: the extruded atom
-        ("sum[n!n. 0; 0]", ("side",)),  # Sum: the entry index
-        ("new c. n!n. 0", ("cofinite", "witness")),  # Res: the cofinite witness
-        ("new c. n!c. 0", ("conclusion", "action", "c")),
-        ("new c. n!c. 0", ("conclusion", "action", "n")),
+        ("new c. n!c. 0", ("side", "atom"), "an atom index"),  # Open: the extruded atom
+        ("sum[n!n. 0; 0]", ("side",), "a natural number"),  # Sum: the entry index
+        ("new c. n!n. 0", ("cofinite", "witness"), "an atom index"),  # Res: the cofinite witness
+        ("new c. n!c. 0", ("conclusion", "action", "c"), "an atom index"),
+        ("new c. n!c. 0", ("conclusion", "action", "n"), "an atom index"),
     ],
     ids=["open-side", "sum-side", "witness", "action-c", "action-n"],
 )
-def test_check_deriv_rejects_a_non_natural_index(capsys, tmp_path, process, where, value) -> None:
+def test_check_deriv_rejects_a_non_natural_index(capsys, tmp_path, process, where, expected, value) -> None:
     deriv = tmp_path / "derivs.json"
     run(capsys, "step", "-e", "n", process, "--deriv", str(deriv))
     data = json.loads(deriv.read_text())
@@ -197,7 +214,8 @@ def test_check_deriv_rejects_a_non_natural_index(capsys, tmp_path, process, wher
     deriv.write_text(json.dumps(data))
     code, out, err = run(capsys, "check-deriv", str(deriv))
     assert (code, out) == (1, "")
-    assert err == f"syntax error: {deriv} is not a derivation file (at position 0)\n"
+    assert err == (f"syntax error: {deriv} is not a derivation file: at /0/{'/'.join(where)}:"
+                   f" expected {expected}, got {value!r} (at position 0)\n")
 
 
 def test_check_deriv_decodes_every_entry_before_checking_any(capsys, tmp_path) -> None:
@@ -209,7 +227,8 @@ def test_check_deriv_decodes_every_entry_before_checking_any(capsys, tmp_path) -
     deriv.write_text(json.dumps(data))
     code, out, err = run(capsys, "check-deriv", str(deriv))
     assert (code, out) == (1, "")
-    assert err == f"syntax error: {deriv} is not a derivation file (at position 0)\n"
+    assert err == (f"syntax error: {deriv} is not a derivation file: at /1: expected the keys {DERIVATION_KEYS},"
+                   " got ['cofinite', 'conclusion', 'extra', 'premises', 'rule', 'side'] (at position 0)\n")
 
 
 WITNESS_IN_ITS_AVOID_SET = {"L": {"mod": 1, "res": [], "add": [5], "remove": []}, "witness": 5}
@@ -286,7 +305,7 @@ def test_deeply_nested_files_are_syntax_errors(capsys, tmp_path) -> None:
 
 def test_too_deep_decoding_is_a_syntax_error(capsys, tmp_path, monkeypatch) -> None:
     # A file the JSON decoder takes can still recurse too deeply in from_json.
-    def too_deep(cls, data):
+    def too_deep(cls, data, table=None):
         raise RecursionError("maximum recursion depth exceeded")
 
     deriv = tmp_path / "derivs.json"
@@ -360,19 +379,23 @@ def test_rename_rejects_a_non_trace_file(capsys, tmp_path) -> None:
     run(capsys, "step", "-e", "n", "new c. n!c. 0", "--deriv", str(deriv))
     code, _, err = run(capsys, "rename", str(deriv), "n1", "m")
     assert code == 1
-    assert err == f"syntax error: {deriv} is not a trace file (at position 0)\n"
+    assert err == (f"syntax error: {deriv} is not a trace file: at /: expected an object,"
+                   " got [{'cofinite': None, 'conclusion': {'acti (at position 0)\n")
 
 
 @pytest.mark.parametrize(
-    "start_env",
+    "start_env, message",
     [
-        {"mod": 1, "res": [], "add": [0, -3], "remove": []},  # a negative atom index
-        {"mod": 100_000_000, "res": [0], "add": [], "remove": []},  # a modulus past the bound
-        {"mod": 2, "res": [0], "add": [], "remove": []},  # the even atoms: not finite
+        ({"mod": 1, "res": [], "add": [0, -3], "remove": []},  # a negative atom index
+         "at /start/env/add/1: expected a natural number, got -3"),
+        ({"mod": 100_000_000, "res": [0], "add": [], "remove": []},  # a modulus past the bound
+         "at /start/env/mod: expected a modulus in 1..64, got 100000000"),
+        ({"mod": 2, "res": [0], "add": [], "remove": []},  # the even atoms: not finite
+         "at /start/env: expected a finite environment"),
     ],
     ids=["negative-index", "huge-modulus", "periodic"],
 )
-def test_rename_rejects_a_bad_start_environment(capsys, tmp_path, start_env) -> None:
+def test_rename_rejects_a_bad_start_environment(capsys, tmp_path, start_env, message) -> None:
     acts = write_actions(tmp_path, ["c?y1"])
     trace_file = tmp_path / "trace.json"
     run(capsys, "trace", "-e", "c", "--fuel", "2", SERVER, acts, "--deriv", str(trace_file))
@@ -381,7 +404,7 @@ def test_rename_rejects_a_bad_start_environment(capsys, tmp_path, start_env) -> 
     trace_file.write_text(json.dumps(data))
     code, _, err = run(capsys, "rename", str(trace_file), "n1", "m")
     assert code == 1
-    assert err == f"syntax error: {trace_file} is not a trace file (at position 0)\n"
+    assert err == f"syntax error: {trace_file} is not a trace file: {message} (at position 0)\n"
 
 
 @pytest.mark.parametrize("value", [True, 1.0, -1, "1"], ids=["bool", "float", "negative", "string"])
@@ -394,7 +417,8 @@ def test_rename_rejects_a_non_natural_names_entry(capsys, tmp_path, value) -> No
     trace_file.write_text(json.dumps(data))
     code, out, err = run(capsys, "rename", str(trace_file), "n1", "m")
     assert (code, out) == (1, "")
-    assert err == f"syntax error: {trace_file} is not a trace file (at position 0)\n"
+    assert err == (f"syntax error: {trace_file} is not a trace file: at /names:"
+                   " expected an object from identifiers to atom indices (at position 0)\n")
 
 
 def test_trace_and_rename_write_the_json_they_print(capsys, tmp_path) -> None:
@@ -414,6 +438,11 @@ def test_perm_applies_cycles_to_free_names(capsys) -> None:
     code, out, _ = run(capsys, "perm", "(n m)", "n!m. 0")
     assert code == 0
     assert out == "m!n. 0\n"
+
+
+def test_perm_json_output(capsys) -> None:
+    printed = '{"chan": {"free": 1}, "cont": {"tag": "nil"}, "msg": {"free": 0}, "tag": "out"}\n'
+    assert run(capsys, "perm", "(n m)", "--json", "n!m. 0") == (0, printed, "")
 
 
 def test_perm_three_cycle(capsys) -> None:
@@ -479,3 +508,17 @@ def test_unreadable_file_exits_1(capsys, tmp_path) -> None:
     code, _, err = run(capsys, "check-deriv", str(tmp_path / "missing.json"))
     assert code == 1
     assert err.startswith("syntax error: cannot read")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check-deriv", "FILE"], ["trace", "-e", "c", SERVER, "FILE"], ["rename", "FILE", "n1", "m"]],
+    ids=["check-deriv", "trace", "rename"],
+)
+def test_a_file_that_is_not_utf8_exits_1(capsys, tmp_path, argv) -> None:
+    bad = tmp_path / "b.json"
+    bad.write_bytes(b"\xff")
+    code, out, err = run(capsys, *[str(bad) if x == "FILE" else x for x in argv])
+    assert (code, out) == (1, "")
+    assert err == (f"syntax error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff in position 0:"
+                   " invalid start byte (at position 0)\n")

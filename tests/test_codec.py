@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from lnpi import codec, lts, props
 from lnpi.atoms import Atom, is_natural
 from lnpi.cli import main
-from lnpi.codec import DecodeError, shared
+from lnpi.codec import DecodeError
 from lnpi.gen import rand_term
 from lnpi.lts import (
     Action,
@@ -511,15 +511,29 @@ def nil_with_a_body(d):
     d["conclusion"]["src"]["proc"]["body"]["cont"] = {"tag": "nil", "body": {"tag": "nil"}}
 
 
-@pytest.mark.parametrize("corrupt", [unknown_key, no_side, env_without_mod, rule_in_a_list,
-                                     premises_object, tau_with_a_channel, nil_with_a_body])
-def test_check_deriv_rejects_a_malformed_shape(capsys, tmp_path, corrupt) -> None:
+DERIVATION_KEYS = "['cofinite', 'conclusion', 'premises', 'rule', 'side']"
+MALFORMED = [
+    (unknown_key, f"at /0: expected the keys {DERIVATION_KEYS},"
+                  " got ['cofinite', 'conclusion', 'extra', 'premises', 'rule', 'side']"),
+    (no_side, f"at /0/premises/0: expected the keys {DERIVATION_KEYS},"
+              " got ['cofinite', 'conclusion', 'premises', 'rule']"),
+    (env_without_mod, "at /0/conclusion/src/env: expected the keys ['add', 'mod', 'remove', 'res'],"
+                      " got ['add', 'remove', 'res']"),
+    (rule_in_a_list, "at /0/rule: expected a string, got ['Open']"),
+    (premises_object, "at /0/premises: expected an array, got {}"),
+    (tau_with_a_channel, "at /0/premises/0/conclusion/action: expected the keys ['tag'], got ['c', 'tag']"),
+    (nil_with_a_body, "at /0/conclusion/src/proc/body/cont: expected the keys ['tag'], got ['body', 'tag']"),
+]
+
+
+@pytest.mark.parametrize("corrupt, message", MALFORMED, ids=[corrupt.__name__ for corrupt, _ in MALFORMED])
+def test_check_deriv_rejects_a_malformed_shape(capsys, tmp_path, corrupt, message) -> None:
     # Each read as well formed before the codec checked shapes: exit 0 or 5.
     deriv, data = open_file(capsys, tmp_path)
     corrupt(data[0])
     deriv.write_text(json.dumps(data))
     code, out, err = run(capsys, "check-deriv", str(deriv))
-    assert (code, out, err) == (1, "", f"syntax error: {deriv} is not a derivation file (at position 0)\n")
+    assert (code, out, err) == (1, "", f"syntax error: {deriv} is not a derivation file: {message} (at position 0)\n")
 
 
 @pytest.mark.parametrize(
@@ -568,17 +582,21 @@ def trace_file(capsys, tmp_path):
     return traced, data
 
 
+NOT_A_NAMES_TABLE = "expected an object from identifiers to atom indices"
+
+
 @pytest.mark.parametrize(
-    "names",
-    [{"c": 0, "y1": 0, "n1": 2}, {"c": 0, "x y": 1, "n1": 2}, {"c": 0, "y1": 1, "2n": 2}, []],
+    "names, message",
+    [({"c": 0, "y1": 0, "n1": 2}, "two identifiers name one atom"), ({"c": 0, "x y": 1, "n1": 2}, NOT_A_NAMES_TABLE),
+     ({"c": 0, "y1": 1, "2n": 2}, NOT_A_NAMES_TABLE), ([], NOT_A_NAMES_TABLE)],
     ids=["shared-atom", "space", "leading-digit", "list"],
 )
-def test_rename_rejects_a_bad_names_table(capsys, tmp_path, names) -> None:
+def test_rename_rejects_a_bad_names_table(capsys, tmp_path, names, message) -> None:
     traced, data = trace_file(capsys, tmp_path)
     data["names"] = names
     traced.write_text(json.dumps(data))
     code, out, err = run(capsys, "rename", str(traced), "n1", "m")
-    assert (code, out, err) == (1, "", f"syntax error: {traced} is not a trace file (at position 0)\n")
+    assert (code, out, err) == (1, "", f"syntax error: {traced} is not a trace file: at /names: {message} (at position 0)\n")
 
 
 def action_replaced(data):
@@ -649,8 +667,8 @@ def occurrences(derivs) -> list:
 
 def test_shared_decoding_builds_each_distinct_node_once(capsys, tmp_path) -> None:
     data = json.loads(fuel_6_file(capsys, tmp_path).read_text())
-    with shared():
-        derivs = [Derivation.from_json(e) for e in data]
+    table: dict = {}
+    derivs = [Derivation.from_json(e, table) for e in data]
     plain = [codec._kind(Derivation).dec(e, NeverStores()) for e in data]
     assert derivs == plain
     # ROADMAP: the fuel-6 file holds 816 derivation nodes, 107 of them distinct.
@@ -669,11 +687,19 @@ def test_shared_decoding_builds_each_distinct_node_once(capsys, tmp_path) -> Non
     assert empty and all(p is empty[0] for p in empty)
 
 
+def test_a_table_shares_across_calls_and_each_call_has_its_own_by_default(capsys, tmp_path) -> None:
+    entry = json.loads(fuel_6_file(capsys, tmp_path).read_text())[0]
+    first, second = Derivation.from_json(entry), Derivation.from_json(entry)
+    assert first == second and first is not second
+    table: dict = {}
+    assert Derivation.from_json(entry, table) is Derivation.from_json(entry, table)
+
+
 def test_shared_decoding_keeps_leaf_ints_apart_from_identities() -> None:
     # Bound(i) is keyed by the value i and Free(a) by the atom, so no
     # identity of a shared child can stand in for either.
-    with shared():
-        names = [name_from_json(x) for x in ({"bound": 0}, {"free": 0}, {"bound": 0}, {"bound": 1})]
+    table: dict = {}
+    names = [name_from_json(x, table) for x in ({"bound": 0}, {"free": 0}, {"bound": 0}, {"bound": 1})]
     assert names == [Bound(0), Free(Atom(0)), Bound(0), Bound(1)]
     assert names[0] is names[2] and names[3] is not names[0]
     terms = [term_from_json(x) for x in ({"tag": "rep", "body": {"tag": "nil"}}, {"tag": "res", "body": {"tag": "nil"}})]
@@ -683,9 +709,10 @@ def test_shared_decoding_keeps_leaf_ints_apart_from_identities() -> None:
 def test_shared_encoding_writes_the_plain_json(capsys, tmp_path) -> None:
     path = fuel_6_file(capsys, tmp_path)
     data = json.loads(path.read_text())
-    with shared():
-        derivs = [Derivation.from_json(e) for e in data]
-        encoded = [d.to_json() for d in derivs]
+    decoding: dict = {}
+    derivs = [Derivation.from_json(e, decoding) for e in data]
+    encoding: dict = {}
+    encoded = [d.to_json(encoding) for d in derivs]
     plain = [d.to_json(NeverStores()) for d in derivs]
     assert encoded == plain == data
     assert path.read_text() == json.dumps(plain, sort_keys=True)
@@ -711,12 +738,10 @@ def test_no_sharing_table_outlives_its_call(capsys, tmp_path) -> None:
                 if isinstance(value, (dict, list, set)) and not name.startswith("__")}
 
     before = module_state()
-    assert codec._SHARED == []
+    table: dict = {}
+    Derivation.from_json(data[0], table)
     with pytest.raises(DecodeError):
-        with shared():
-            Derivation.from_json(data[0])
-            Derivation.from_json({"rule": 1})
-    assert codec._SHARED == []
+        Derivation.from_json({"rule": 1}, table)
     checking = lts.check_each(derivs, 2)
     assert list(checking) == derivs and checking.gi_frame is None  # its tables went with its frame
     traced, _ = trace_file(capsys, tmp_path)

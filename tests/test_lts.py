@@ -38,7 +38,7 @@ from lnpi.lts import (
 from lnpi.namesets import NameSet, fresh, union_all
 from lnpi.parsing import parse
 from lnpi.permtypes import FiniteTermSet, IndexedFamily, apply, is_fresh, supp
-from lnpi.pisyntax import Bound, Free, Inp, Nil, Out, Par, Rep, Res, Sum, free_names, term_lc_at
+from lnpi.pisyntax import Bound, Free, Inp, Nil, Out, Par, Rep, Res, Sum, free_names
 
 a = [Atom(i) for i in range(12)]
 
@@ -649,7 +649,7 @@ def ref_fail(reason: str, path: tuple[int, ...], message: str):
 def ref_require_config(cfg: Config, path, what: str) -> None:
     if not cfg.env.is_finite():
         ref_fail("RuleShape", path, f"{what} environment is not finite")
-    if not term_lc_at(0, cfg.proc):
+    if not cfg.proc.lc_at(0):
         ref_fail("RuleShape", path, f"{what} process is not locally closed")
 
 

@@ -184,8 +184,8 @@ def test_derived_container_structure_matches_the_hand_written_one() -> None:
         p, x, i = rand_perm(rng), rand_atom(rng), rng.randrange(3)
         for v, ref, elems in ((fam, ref_family, fam.parts()), (terms, ref_term_set, terms.elements)):
             assert v.perm_apply(p) == ref(v, lambda e: apply(p, e))
-            assert v.open_at(i, x) == ref(v, lambda e: open_at(i, x, e))
-            assert v.close_at(i, x) == ref(v, lambda e: close_at(i, x, e))
+            assert open_at(i, x, v) == ref(v, lambda e: open_at(i, x, e))
+            assert close_at(i, x, v) == ref(v, lambda e: close_at(i, x, e))
             assert v.support() == union_all(*(supp(e) for e in elems))
-            assert v.lc_at(i) == all(lc_at(i, e) for e in elems)
+            assert lc_at(i, v) == all(lc_at(i, e) for e in elems)
             assert lc_cofinite(v) == all(lc_cofinite(e) for e in elems)
