@@ -98,9 +98,14 @@ class Permutation:
 
     @classmethod
     def from_cycles(cls, cycles: list[list[int]]) -> Permutation:
-        pairs = []
+        """The permutation of disjoint cycles; raises ValueError if an index
+        occurs twice, within one cycle or across two."""
+        pairs, seen = [], set()
         for cyc in cycles:
             for i, s in enumerate(cyc):
+                if s in seen:
+                    raise ValueError(f"atom {s} occurs twice in the cycles")
+                seen.add(s)
                 pairs.append((s, cyc[(i + 1) % len(cyc)]))
         return cls(tuple(pairs))
 

@@ -16,7 +16,7 @@ import re
 import sys
 
 from .atoms import Atom, Permutation, is_natural
-from .codec import DecodeError
+from .codec import DecodeError, shown
 from .lts import (
     Action,
     BoundOutput,
@@ -136,11 +136,20 @@ def _names_json(symtab: Symtab) -> dict[str, int]:
 
 def _names_from_json(data) -> Symtab:
     """A trace file's names table: identifiers, each naming its own atom."""
-    if not (type(data) is dict and all(re.fullmatch(_ID, k) for k in data)
-            and all(map(is_natural, data.values()))):
-        raise DecodeError("expected an object from identifiers to atom indices").at("names")
-    if len(set(data.values())) < len(data):
-        raise DecodeError("two identifiers name one atom").at("names")
+    if type(data) is not dict:
+        raise DecodeError(f"expected an object, got {shown(data)}").at("names")
+    named: dict[int, str] = {}
+    for ident, i in data.items():
+        if not re.fullmatch(_ID, ident):
+            problem = "expected an identifier as the key"
+        elif not is_natural(i):
+            problem = f"expected an atom index, got {shown(i)}"
+        elif i in named:
+            problem = f"atom {i} is already named {named[i]}"
+        else:
+            named[i] = ident
+            continue
+        raise DecodeError(problem).at(ident).at("names")
     return {ident: Atom(i) for ident, i in data.items()}
 
 
@@ -249,15 +258,21 @@ def _report_trace(args, trace: Trace, symtab: Symtab) -> int:
 def cmd_perm(args) -> int:
     cfg, symtab = _session(args)
     cycles: list[list[int]] = []
+    idents: list[str] = []
     rest = args.cycles.strip()
     if rest and not re.fullmatch(r"(\([^()]*\)\s*)+", rest):
         raise ParseError(f"not a cycle list: {args.cycles!r}", 0)
     for group in re.findall(r"\(([^()]*)\)", rest):
-        idents = group.replace(",", " ").split()
-        if len(idents) < 2:
+        cycle = group.replace(",", " ").split()
+        if len(cycle) < 2:
             raise ParseError(f"a cycle needs at least two names: ({group})", 0)
-        cycles.append([intern(symtab, i).index for i in idents])
-    p = Permutation.from_cycles(cycles)
+        cycles.append([intern(symtab, i).index for i in cycle])
+        idents += cycle
+    try:
+        p = Permutation.from_cycles(cycles)
+    except ValueError:
+        twice = next(i for k, i in enumerate(idents) if i in idents[:k])
+        raise ParseError(f"{twice} occurs twice in the cycles {args.cycles!r}", 0) from None
     moved = cfg.proc.perm_apply(p)
     if args.json:
         _emit_json(moved.to_json())

@@ -29,6 +29,7 @@ record once and puts its JSON value wherever the record recurs;
 
 from __future__ import annotations
 
+import json
 import types
 import typing
 from dataclasses import is_dataclass
@@ -58,6 +59,16 @@ class DecodeError(ValueError):
 
     def __str__(self) -> str:
         return f"at {self.path or '/'}: {self.args[0]}"
+
+
+def shown(x) -> str:
+    """x as a JSON file spells it, for a message: a scalar as JSON writes it,
+    an array or an object by its type."""
+    if type(x) is list:
+        return "an array"
+    if type(x) is dict:
+        return "an object"
+    return json.dumps(x)
 
 
 class Record:
@@ -95,18 +106,18 @@ class Record:
 
 def _decode(kind: _Kind, data, table: dict):  # a union's member is picked here, in the same frame
     if type(data) is not dict:
-        raise DecodeError(f"expected an object, got {data!r:.40}")
+        raise DecodeError(f"expected an object, got {shown(data)}")
     if kind.members is not None:
         try:
             found = kind.members.get(data.get("tag") or frozenset(data))
         except TypeError:  # an unhashable tag
             found = None
         if found is None:
-            what = f"tag {data['tag']!r:.40}" if "tag" in data else f"keys {sorted(data)}"
+            what = f"tag {shown(data['tag'])}" if "tag" in data else f"keys {sorted(data)}"
             raise DecodeError(f"no {kind.cls.__name__} has the {what}")
         kind = found
     elif kind.tag and data.get("tag") != kind.tag:
-        raise DecodeError(f"expected the tag {kind.tag!r}").at("tag")
+        raise DecodeError(f"expected the tag {shown(kind.tag)}").at("tag")
     vals, ident = [], [kind]
     try:  # every key read is there, and no other: exactly the keys
         if len(data) != len(kind.keys):
@@ -133,13 +144,13 @@ def _decode(kind: _Kind, data, table: dict):  # a union's member is picked here,
 def _string(x) -> str:
     if type(x) is str:
         return x
-    raise DecodeError(f"expected a string, got {x!r:.40}")
+    raise DecodeError(f"expected a string, got {shown(x)}")
 
 
 def _natural(x) -> int:
     if type(x) is int and x >= 0:  # atoms.is_natural, inlined here and in _atom: every index passes
         return x
-    raise DecodeError(f"expected a natural number, got {x!r:.40}")
+    raise DecodeError(f"expected a natural number, got {shown(x)}")
 
 
 # Decoded atoms of a small index are shared: a file names few atoms, many times.
@@ -149,7 +160,7 @@ _ATOMS = tuple(map(Atom, range(64)))
 def _atom(x) -> Atom:
     if type(x) is int and x >= 0:
         return _ATOMS[x] if x < 64 else Atom(x)
-    raise DecodeError(f"expected an atom index, got {x!r:.40}")
+    raise DecodeError(f"expected an atom index, got {shown(x)}")
 
 
 _index = attrgetter("index")
@@ -189,7 +200,7 @@ def _array(item: _Kind) -> _Kind:
     # A tuple's key is its kind and its items, by identity if they share.
     def dec(data, table: dict) -> tuple:
         if type(data) is not list:
-            raise DecodeError(f"expected an array, got {data!r:.40}")
+            raise DecodeError(f"expected an array, got {shown(data)}")
         out = []
         try:
             for x in data:

@@ -1,17 +1,19 @@
-"""Decidable sets of atoms: periodic base plus finite exceptions.
+"""Decidable sets of atoms: a periodic base plus the atoms that flip it.
 
 The representation covers every set this project needs — finite
 environments, cofinite complements, and residue-class sets such as the
 even and odd atoms — and is closed under the boolean operations,
-permutation action, and support.  Canonical form (minimal modulus,
-exceptions that genuinely disagree with the base) makes structural
-equality extensional equality.
+permutation action, and support.  A set is a base (atoms by residue
+modulo a modulus) and the finite set of atoms whose membership differs
+from it.  Once the modulus is minimised the base is unique, so every set
+of flips is canonical and structural equality is extensional equality.
+A finite set is its members flipped out of the empty base.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count, filterfalse, islice
 from typing import Iterable
 
@@ -45,28 +47,32 @@ _ALL = frozenset({0})
 @dataclass(frozen=True)
 class NameSet:
     modulus: int = 1
-    residues: frozenset[int] = field(default=frozenset())
-    # (atom index, member?) overrides, each disagreeing with the base.
-    exceptions: tuple[tuple[int, bool], ...] = field(default=())
+    residues: frozenset[int] = _NONE
+    # The atoms whose membership differs from the base's.
+    flips: frozenset[int] = _NONE
 
     def __post_init__(self) -> None:
         if self.modulus < 1:
             raise ValueError("modulus must be >= 1")
-        if self.modulus == 1:
-            # Finite or cofinite: the base is a constant, nothing to minimise.
-            mod, res = 1, _ALL if self.residues else _NONE
+        if self.modulus == 1:  # the base is a constant: nothing to minimise
+            res = _ALL if self.residues else _NONE
         else:
-            res = frozenset(r % self.modulus for r in self.residues)
-            mod, res = _min_modulus(self.modulus, res)
-            if len(res) == mod:  # full base collapses to modulus 1
-                mod, res = 1, _ALL
-        exc = dict(self.exceptions)  # later entries win
-        exc = {a: v for a, v in exc.items() if v != ((a % mod) in res)}
-        object.__setattr__(self, "modulus", mod)
+            mod, res = _min_modulus(self.modulus, frozenset(r % self.modulus for r in self.residues))
+            object.__setattr__(self, "modulus", mod)
         object.__setattr__(self, "residues", res)
-        object.__setattr__(self, "exceptions", tuple(sorted(exc.items())))
+        if not self.flips:
+            object.__setattr__(self, "flips", _NONE)
 
     # ------------- constructors -------------
+
+    @classmethod
+    def of(cls, modulus: int, residues: Iterable[int], overrides: Iterable[tuple[int, bool]] = ()) -> NameSet:
+        """The base of modulus and residues with each (atom index, member?)
+        override applied in turn, so a later override of an atom wins."""
+        if modulus < 1:
+            raise ValueError("modulus must be >= 1")
+        res = frozenset(r % modulus for r in residues)
+        return cls(modulus, res, frozenset(a for a, v in dict(overrides).items() if v != ((a % modulus) in res)))
 
     @classmethod
     def empty(cls) -> NameSet:
@@ -74,15 +80,15 @@ class NameSet:
 
     @classmethod
     def all_atoms(cls) -> NameSet:
-        return cls(1, frozenset({0}))
+        return cls(1, _ALL)
 
     @classmethod
     def finite(cls, atoms: Iterable[Atom]) -> NameSet:
-        return cls(1, frozenset(), tuple((a.index, True) for a in atoms))
+        return cls(1, _NONE, frozenset(a.index for a in atoms))
 
     @classmethod
     def cofinite(cls, excluded: Iterable[Atom]) -> NameSet:
-        return cls(1, frozenset({0}), tuple((a.index, False) for a in excluded))
+        return cls(1, _ALL, frozenset(a.index for a in excluded))
 
     @classmethod
     def periodic(cls, modulus: int, residues: Iterable[int]) -> NameSet:
@@ -94,16 +100,18 @@ class NameSet:
         return (index % self.modulus) in self.residues
 
     def _member_index(self, index: int) -> bool:
-        for a, v in self.exceptions:
-            if a == index:
-                return v
-        return self._base(index)
+        return self._base(index) != (index in self.flips)
 
     def member(self, a: Atom) -> bool:
         return self._member_index(a.index)
 
     def __contains__(self, a: Atom) -> bool:
         return self.member(a)
+
+    @property
+    def exceptions(self) -> tuple[tuple[int, bool], ...]:
+        """The flips as (atom index, member?) pairs, ascending."""
+        return tuple((a, not self._base(a)) for a in sorted(self.flips))
 
     def is_finite(self) -> bool:
         return not self.residues
@@ -112,13 +120,13 @@ class NameSet:
         return bool(self.residues)
 
     def is_empty(self) -> bool:
-        return not self.residues and not any(v for _, v in self.exceptions)
+        return not self.residues and not self.flips
 
     def is_all(self) -> bool:
-        return self.complement().is_empty()
+        return self.is_cofinite() and not self.flips
 
     def is_cofinite(self) -> bool:
-        return self.complement().is_finite()
+        return len(self.residues) == self.modulus
 
     def enumerate(self, k: int) -> list[Atom]:
         """The k least members (fewer if the set is smaller)."""
@@ -126,19 +134,15 @@ class NameSet:
 
     def least_outside(self, k: int) -> list[Atom]:
         """The k least atoms not in the set (fewer if its complement is smaller)."""
-        if self.modulus == 1 and self.residues:  # cofinite: the removed atoms
-            return [Atom(a) for a, v in self.exceptions if not v][:k]
-        if self.modulus == 1:  # finite: its exceptions are its members
-            inside = {a for a, _ in self.exceptions}.__contains__
-        else:  # genuinely periodic: the complement is infinite, so the scan ends
-            inside = self._member_index
-        return [Atom(n) for n in islice(filterfalse(inside, count()), k)]
+        if self.is_cofinite():  # the complement is the flips: a scan would not end
+            return [Atom(a) for a in sorted(self.flips)[:k]]
+        return [Atom(n) for n in islice(filterfalse(self._member_index, count()), k)]
 
     def atoms(self) -> tuple[Atom, ...]:
         """All members of a finite set, ascending."""
         if not self.is_finite():
             raise ValueError("atoms() requires a finite set")
-        return tuple(Atom(a) for a, v in self.exceptions if v)
+        return tuple(Atom(a) for a in sorted(self.flips))
 
     def pick_outside(self, avoid: NameSet) -> Atom:
         """Least member of self not in avoid."""
@@ -150,17 +154,13 @@ class NameSet:
     # ------------- boolean algebra -------------
 
     def _binary(self, other: NameSet, op) -> NameSet:
-        if self.modulus == 1 and other.modulus == 1:
-            # Finite and cofinite sets: each base is a constant.
-            x, y = bool(self.residues), bool(other.residues)
-            xs, ys = dict(self.exceptions), dict(other.exceptions)
-            exc = tuple((a, op(xs.get(a, x), ys.get(a, y))) for a in sorted(xs.keys() | ys.keys()))
-            return NameSet(1, _ALL if op(x, y) else _NONE, exc)
         mod = math.lcm(self.modulus, other.modulus)
         res = frozenset(r for r in range(mod) if op(self._base(r), other._base(r)))
-        touched = {a for a, _ in self.exceptions} | {a for a, _ in other.exceptions}
-        exc = tuple((a, op(self._member_index(a), other._member_index(a))) for a in sorted(touched))
-        return NameSet(mod, res, exc)
+        flips = frozenset(
+            a for a in self.flips | other.flips
+            if op(self._member_index(a), other._member_index(a)) != ((a % mod) in res)
+        )
+        return NameSet(mod, res, flips)
 
     def union(self, other: NameSet) -> NameSet:
         return self._binary(other, lambda x, y: x or y)
@@ -172,8 +172,7 @@ class NameSet:
         return self._binary(other, lambda x, y: x and not y)
 
     def complement(self) -> NameSet:
-        res = frozenset(r for r in range(self.modulus) if r not in self.residues)
-        return NameSet(self.modulus, res, tuple((a, not v) for a, v in self.exceptions))
+        return NameSet(self.modulus, frozenset(range(self.modulus)) - self.residues, self.flips)
 
     def subset_of(self, other: NameSet) -> bool:
         return self.difference(other).is_empty()
@@ -182,16 +181,12 @@ class NameSet:
 
     def perm_apply(self, p: Permutation) -> NameSet:
         """The image {p(a) | a in S}; the periodic base survives because p moves finitely many atoms."""
-        if self.modulus == 1:
-            # The base is a constant, so each exception moves with its atom.
-            move = dict(p.pairs)
-            return NameSet(1, self.residues, tuple((move.get(a, a), v) for a, v in self.exceptions))
-        inv = p.inverse()
-        exc = {b.index: self.member(inv(b)) for b in p.moved()}
-        for a, v in self.exceptions:
-            if a not in exc:
-                exc[a] = v
-        return NameSet(self.modulus, self.residues, tuple(sorted(exc.items())))
+        # p(a) is in the image iff a is in S: a moved target flips iff a's
+        # membership differs from the base at p(a); any other atom keeps its flip.
+        moved = dict(p.pairs)
+        flips = {a for a in self.flips if a not in moved}
+        flips.update(b for a, b in p.pairs if self._member_index(a) != self._base(b))
+        return NameSet(self.modulus, self.residues, frozenset(flips))
 
     def support(self) -> NameSet:
         # Finite sets are their own support, cofinite sets are supported by
@@ -200,19 +195,19 @@ class NameSet:
         # membership boundary, so every atom is in the support.
         if self.is_finite():
             return self
-        comp = self.complement()
-        if comp.is_finite():
-            return comp
+        if self.is_cofinite():
+            return self.complement()
         return NameSet.all_atoms()
 
     # ------------- serialization -------------
 
     def to_json(self) -> dict:
+        exc = self.exceptions
         return {
             "mod": self.modulus,
             "res": sorted(self.residues),
-            "add": [a for a, v in self.exceptions if v],
-            "remove": [a for a, v in self.exceptions if not v],
+            "add": [a for a, v in exc if v],
+            "remove": [a for a, v in exc if not v],
         }
 
     @classmethod
@@ -223,8 +218,7 @@ class NameSet:
         j = _Json.from_json(data)
         if not 1 <= j.mod <= MAX_JSON_MODULUS:
             raise DecodeError(f"expected a modulus in 1..{MAX_JSON_MODULUS}, got {j.mod}").at("mod")
-        exc = [(a, True) for a in j.add] + [(a, False) for a in j.remove]
-        return cls(j.mod, frozenset(j.res), tuple(exc))
+        return cls.of(j.mod, j.res, [(a, True) for a in j.add] + [(a, False) for a in j.remove])
 
     def key(self) -> tuple:
         return (self.modulus, tuple(sorted(self.residues)), self.exceptions)
@@ -245,9 +239,8 @@ class _Json(Record):  # the JSON form of a NameSet, which from_json decodes thro
 
 def union_all(*sets: NameSet) -> NameSet:
     if all(s.is_finite() for s in sets):
-        # All finite: each set's exceptions are its members, so one
-        # construction merges them.
-        return NameSet(1, _NONE, tuple(e for s in sets for e in s.exceptions))
+        # All finite: each set's flips are its members.
+        return NameSet(1, _NONE, _NONE.union(*(s.flips for s in sets)))
     out = NameSet.empty()
     for s in sets:
         out = out.union(s)

@@ -143,6 +143,12 @@ def test_singleton_cycle_is_the_identity() -> None:
     assert Permutation.from_cycles([[3]]) == identity()
 
 
+@pytest.mark.parametrize("cycles", [[[0, 1], [1, 2]], [[0, 1, 0]], [[4, 4]]], ids=["across", "within", "self"])
+def test_from_cycles_rejects_an_index_that_occurs_twice(cycles) -> None:
+    with pytest.raises(ValueError, match="occurs twice"):
+        Permutation.from_cycles(cycles)
+
+
 # ------------- Group laws (randomized) -------------
 
 

@@ -60,20 +60,20 @@ def test_full_residue_set_collapses_to_all_atoms() -> None:
 
 def test_redundant_exceptions_are_dropped() -> None:
     # adding an atom already in the base records nothing
-    s = NameSet(2, frozenset({0}), ((4, True), (3, False)))
+    s = NameSet.of(2, frozenset({0}), ((4, True), (3, False)))
     assert s.exceptions == ()
     assert s == EVEN
 
 
 def test_later_exception_entries_win() -> None:
-    s = NameSet(1, frozenset(), ((5, True), (5, False)))
+    s = NameSet.of(1, frozenset(), ((5, True), (5, False)))
     assert not s.member(a[5])
     assert s == NameSet.empty()
 
 
 def test_modulus_must_be_positive() -> None:
     with pytest.raises(ValueError):
-        NameSet(0, frozenset())
+        NameSet.of(0, frozenset())
 
 
 # ------------- classification -------------
@@ -185,14 +185,14 @@ def test_boolean_ops_agree_with_pointwise_membership() -> None:
 
 def _mod2(s: NameSet) -> NameSet:
     """A finite or cofinite s, built again with modulus 2: the general path."""
-    return NameSet(2, frozenset({0, 1}) if s.residues else frozenset(), s.exceptions)
+    return NameSet.of(2, frozenset({0, 1}) if s.residues else frozenset(), s.exceptions)
 
 
 def _pointwise(s: NameSet, t: NameSet, op, upto: int = 16) -> NameSet:
     # Membership op(i in s, i in t) at every i, built with modulus 2.
     base = frozenset({0, 1}) if op(s.member(Atom(upto)), t.member(Atom(upto))) else frozenset()
     exc = tuple((i, op(s.member(Atom(i)), t.member(Atom(i)))) for i in range(upto))
-    return NameSet(2, base, exc)
+    return NameSet.of(2, base, exc)
 
 
 def test_finite_fast_path_matches_the_general_path() -> None:
@@ -245,7 +245,7 @@ def _image(s: NameSet, p: Permutation) -> NameSet:
     inv = p.inverse()
     exc = {b.index: s.member(inv(b)) for b in p.moved()}
     exc.update((x, v) for x, v in s.exceptions if x not in exc)
-    return NameSet(s.modulus, s.residues, tuple(sorted(exc.items())))
+    return NameSet.of(s.modulus, s.residues, tuple(sorted(exc.items())))
 
 
 def test_perm_apply_fast_path_matches_the_general_formula() -> None:
@@ -351,3 +351,59 @@ def test_json_accepts_the_largest_modulus() -> None:
 def test_json_shape_splits_exceptions_by_sign() -> None:
     s = ODD.union(NameSet.finite([a[0]])).difference(NameSet.finite([a[3]]))
     assert s.to_json() == {"mod": 2, "res": [1], "add": [0], "remove": [3]}
+
+
+# ------------- the pair-based canonical form, as a reference -------------
+
+# Flips and moved atoms stay below BOUND, and every modulus divides PERIOD.
+BOUND, PERIOD = 16, 60
+
+
+def pair_form(member) -> tuple[int, frozenset[int], tuple[tuple[int, bool], ...]]:
+    """The canonical (modulus, residues, exceptions) of the set with this
+    membership predicate, derived from membership alone: the least period of
+    the base it shows from BOUND on, and the sorted (atom, member?) pairs
+    below BOUND that disagree with that base."""
+    base = [member(BOUND + (r - BOUND) % PERIOD) for r in range(PERIOD)]
+    mod = next(d for d in range(1, PERIOD + 1)
+               if PERIOD % d == 0 and all(base[r] == base[r % d] for r in range(PERIOD)))
+    exc = tuple((i, member(i)) for i in range(BOUND) if member(i) != base[i % PERIOD])
+    return mod, frozenset(r for r in range(mod) if base[r]), exc
+
+
+def assert_pair_form(s: NameSet, member) -> None:
+    mod, res, exc = pair_form(member)
+    assert s.exceptions == exc
+    assert s.key() == (mod, tuple(sorted(res)), exc)
+    assert s.to_json() == {"mod": mod, "res": sorted(res), "add": [a for a, v in exc if v],
+                           "remove": [a for a, v in exc if not v]}
+
+
+def test_every_set_and_result_has_the_pair_based_canonical_form() -> None:
+    rng = random.Random(17)
+
+    def rand_set():
+        """A random set and its membership, computed without NameSet."""
+        atoms = [rng.randrange(BOUND) for _ in range(rng.randrange(5))]
+        kind = rng.randrange(3)
+        if kind == 0:
+            return NameSet.finite(map(Atom, atoms)), set(atoms).__contains__
+        if kind == 1:
+            return NameSet.cofinite(map(Atom, atoms)), lambda i: i not in atoms
+        mod = rng.randrange(1, 7)
+        res = frozenset(r for r in range(mod) if rng.random() < 0.5)
+        pairs = [(a, rng.random() < 0.5) for a in atoms]
+        last = dict(pairs)  # later pairs win
+        return NameSet.of(mod, res, pairs), lambda i: last.get(i, (i % mod) in res)
+
+    for _ in range(400):
+        (s, x), (t, y) = rand_set(), rand_set()
+        assert_pair_form(s, x)
+        assert_pair_form(s.union(t), lambda i: x(i) or y(i))
+        assert_pair_form(s.inter(t), lambda i: x(i) and y(i))
+        assert_pair_form(s.difference(t), lambda i: x(i) and not y(i))
+        assert_pair_form(s.complement(), lambda i: not x(i))
+        assert_pair_form(union_all(s, t), lambda i: x(i) or y(i))
+        cycle = rng.sample(range(BOUND), rng.choice((2, 3)))
+        inverse = {b: a for a, b in zip(cycle, cycle[1:] + cycle[:1])}
+        assert_pair_form(s.perm_apply(Permutation.from_cycles([cycle])), lambda i: x(inverse.get(i, i)))
