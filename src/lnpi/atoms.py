@@ -63,9 +63,6 @@ class Permutation:
     def inverse(self) -> Permutation:
         return Permutation(tuple((t, s) for s, t in self.pairs))
 
-    def is_identity(self) -> bool:
-        return not self.pairs
-
     def moved(self) -> tuple[Atom, ...]:
         return tuple(Atom(s) for s, _ in self.pairs)
 

@@ -53,8 +53,9 @@ class DecodeError(ValueError):
     path = ""
 
     def at(self, step: str | int) -> DecodeError:
-        """This error one level further out, under key or index step."""
-        self.path = f"/{step}{self.path}"
+        """This error one level further out, under key or index step, which
+        the path spells as JSON Pointer does (RFC 6901: "~" as "~0", "/" as "~1")."""
+        self.path = f"/{str(step).replace('~', '~0').replace('/', '~1')}{self.path}"
         return self
 
     def __str__(self) -> str:
@@ -74,6 +75,8 @@ def shown(x) -> str:
 class Record:
     """A value whose JSON form and sort key derive from its declaration.  Each
     of to_json, from_json and key takes one Python frame per record."""
+
+    __slots__ = ()
 
     def to_json(self, table: dict | None = None) -> dict:
         """self's JSON value.  table, passed by the encoder to the records
@@ -113,7 +116,7 @@ def _decode(kind: _Kind, data, table: dict):  # a union's member is picked here,
         except TypeError:  # an unhashable tag
             found = None
         if found is None:
-            what = f"tag {shown(data['tag'])}" if "tag" in data else f"keys {sorted(data)}"
+            what = f"tag {shown(data['tag'])}" if "tag" in data else f"keys {json.dumps(sorted(data))}"
             raise DecodeError(f"no {kind.cls.__name__} has the {what}")
         kind = found
     elif kind.tag and data.get("tag") != kind.tag:
@@ -133,7 +136,7 @@ def _decode(kind: _Kind, data, table: dict):  # a union's member is picked here,
     except DecodeError as e:
         raise e.at(kind.decs[len(vals)][0]) from None
     except KeyError:
-        raise DecodeError(f"expected the keys {sorted(kind.keys)}, got {sorted(data)}") from None
+        raise DecodeError(f"expected the keys {json.dumps(sorted(kind.keys))}, got {json.dumps(sorted(data))}") from None
     ident = tuple(ident)
     found = table.get(ident)
     if found is None:
@@ -278,6 +281,9 @@ def _record(cls: type, kind: _Kind) -> None:
 
 
 def _union_of(base: type, kind: _Kind) -> None:
+    # A dataclass made with slots=True replaces the class it was declared as,
+    # which stays among the base's subclasses, listed before its replacement:
+    # the replacement's entry, made later, is the one kept.
     kind.cls, kind.members, todo = base, {}, [base]
     while todo:
         for sub in todo.pop().__subclasses__():

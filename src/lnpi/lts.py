@@ -67,6 +67,7 @@ from .pisyntax import (
     Res,
     Sum,
     Term,
+    free_atoms,
     free_names,
     term_atom_list,
     term_size,
@@ -222,25 +223,26 @@ class Derivation(PermValue, Record):
 
     def support(self) -> NameSet:
         # Kept to walk the tree once, with an explicit stack, not to union per
-        # node: the atoms of every node go into one finite set, its
-        # environments and avoid sets into one union_all.
+        # node: the atoms of every node go into one set, its environments and
+        # avoid sets into one union_all.
         sets: list[NameSet] = []
-        atoms: list[Atom] = []
+        atoms: set[int] = set()
         stack = [self]
         while stack:
             d = stack.pop()
             t = d.conclusion
             sets += (t.src.env, t.dst.env)
-            atoms += term_atom_list(t.src.proc) + term_atom_list(t.dst.proc)
+            atoms |= free_atoms(t.src.proc)
+            atoms |= free_atoms(t.dst.proc)
             if not isinstance(t.action, Tau):
-                atoms += (t.action.chan, t.action.name)
+                atoms.update((t.action.chan.index, t.action.name.index))
             if d.cofinite:
                 sets.append(d.cofinite.avoid)
-                atoms.append(d.cofinite.witness)
+                atoms.add(d.cofinite.witness.index)
             if isinstance(d.side, Atom):
-                atoms.append(d.side)
+                atoms.add(d.side.index)
             stack += d.premises
-        return union_all(NameSet.finite(atoms), *sets)
+        return union_all(NameSet(flips=frozenset(atoms)), *sets)
 
 
 def _move(x: PermValue, p: Permutation, moves: dict):
@@ -587,7 +589,7 @@ def _occurs(w: Atom, t: Transition) -> bool:
     a = t.action
     return (t.src.env.member(w) or t.dst.env.member(w)
             or (not isinstance(a, Tau) and w in (a.chan, a.name))
-            or w in term_atom_list(t.src.proc) or w in term_atom_list(t.dst.proc))
+            or w.index in free_atoms(t.src.proc) or w.index in free_atoms(t.dst.proc))
 
 
 def _check(d: Derivation, path: tuple[int, ...], moved: bool = False) -> None:

@@ -7,12 +7,15 @@ permutation action, and support.  A set is a base (atoms by residue
 modulo a modulus) and the finite set of atoms whose membership differs
 from it.  Once the modulus is minimised the base is unique, so every set
 of flips is canonical and structural equality is extensional equality.
-A finite set is its members flipped out of the empty base.
+A finite set is its members flipped out of the empty base, so the boolean
+operations on two finite sets are the frozenset operations on their flips;
+only a periodic or cofinite operand costs a scan of the residues.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import count, filterfalse, islice
 from typing import Iterable
@@ -116,14 +119,8 @@ class NameSet:
     def is_finite(self) -> bool:
         return not self.residues
 
-    def is_infinite(self) -> bool:
-        return bool(self.residues)
-
     def is_empty(self) -> bool:
         return not self.residues and not self.flips
-
-    def is_all(self) -> bool:
-        return self.is_cofinite() and not self.flips
 
     def is_cofinite(self) -> bool:
         return len(self.residues) == self.modulus
@@ -153,7 +150,11 @@ class NameSet:
 
     # ------------- boolean algebra -------------
 
-    def _binary(self, other: NameSet, op) -> NameSet:
+    def _binary(self, other: NameSet, op, flips_op) -> NameSet:
+        # op combines memberships; flips_op is the same operation on the
+        # flips, which are the members of a finite set.
+        if not self.residues and not other.residues:
+            return NameSet(flips=flips_op(self.flips, other.flips))
         mod = math.lcm(self.modulus, other.modulus)
         res = frozenset(r for r in range(mod) if op(self._base(r), other._base(r)))
         flips = frozenset(
@@ -163,13 +164,13 @@ class NameSet:
         return NameSet(mod, res, flips)
 
     def union(self, other: NameSet) -> NameSet:
-        return self._binary(other, lambda x, y: x or y)
+        return self._binary(other, operator.or_, operator.or_)
 
     def inter(self, other: NameSet) -> NameSet:
-        return self._binary(other, lambda x, y: x and y)
+        return self._binary(other, operator.and_, operator.and_)
 
     def difference(self, other: NameSet) -> NameSet:
-        return self._binary(other, lambda x, y: x and not y)
+        return self._binary(other, lambda x, y: x and not y, operator.sub)
 
     def complement(self) -> NameSet:
         return NameSet(self.modulus, frozenset(range(self.modulus)) - self.residues, self.flips)

@@ -33,7 +33,6 @@ def test_atom_support_is_the_singleton() -> None:
 
 def test_identity_has_no_pairs() -> None:
     assert identity().pairs == ()
-    assert identity().is_identity()
 
 
 def test_self_maps_are_dropped() -> None:

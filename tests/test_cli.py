@@ -9,7 +9,7 @@ from lnpi.namesets import NameSet
 from lnpi.parsing import parse
 
 SERVER = "*( new n. c?(x). x!n. 0 )"
-DERIVATION_KEYS = "['cofinite', 'conclusion', 'premises', 'rule', 'side']"
+DERIVATION_KEYS = '["cofinite", "conclusion", "premises", "rule", "side"]'
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -114,6 +114,15 @@ def test_negative_fuel_is_rejected_by_the_argument_parser(capsys, tmp_path, comm
     assert "argument --fuel: must be a natural number, got '-1'" in capsys.readouterr().err
 
 
+def test_step_on_a_500_prefix_chain(capsys) -> None:
+    # Hashing the memo key once recursed through the whole chain and raised
+    # RecursionError here; a term's hash is now stored, computed without recursion.
+    chain = "c!c. " * 500 + "0"
+    code, out, err = run(capsys, "step", "-e", "c", "--fuel", "1", chain)
+    assert (code, err) == (0, "")
+    assert out == f"<{{c}}; {chain}>\n  c!c => <{{c}}; {'c!c. ' * 499}0> [Out]\n"
+
+
 # ------------- derivation files and check-deriv -------------
 
 
@@ -147,7 +156,7 @@ def test_check_deriv_rejects_a_wrong_shape_file(capsys, tmp_path) -> None:
     code, _, err = run(capsys, "check-deriv", str(wrong))
     assert code == 1
     assert err == (f"syntax error: {wrong} is not a derivation file: at /: expected the keys"
-                   f" {DERIVATION_KEYS}, got ['start', 'steps'] (at position 0)\n")
+                   f' {DERIVATION_KEYS}, got ["start", "steps"] (at position 0)\n')
 
 
 @pytest.mark.parametrize(
@@ -228,7 +237,7 @@ def test_check_deriv_decodes_every_entry_before_checking_any(capsys, tmp_path) -
     code, out, err = run(capsys, "check-deriv", str(deriv))
     assert (code, out) == (1, "")
     assert err == (f"syntax error: {deriv} is not a derivation file: at /1: expected the keys {DERIVATION_KEYS},"
-                   " got ['cofinite', 'conclusion', 'extra', 'premises', 'rule', 'side'] (at position 0)\n")
+                   ' got ["cofinite", "conclusion", "extra", "premises", "rule", "side"] (at position 0)\n')
 
 
 WITNESS_IN_ITS_AVOID_SET = {"L": {"mod": 1, "res": [], "add": [5], "remove": []}, "witness": 5}

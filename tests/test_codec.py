@@ -43,10 +43,8 @@ from lnpi.pisyntax import (
     Rep,
     Res,
     Sum,
+    Name,
     Term,
-    name_from_json,
-    term_from_json,
-    term_key,
 )
 
 # ------------- the hand-written codecs the derived one replaced -------------
@@ -312,7 +310,7 @@ def test_derived_codec_matches_the_hand_written_one(monkeypatch) -> None:
         for cfg in (t.src, t.dst):
             assert cfg.to_json() == ref_config_to_json(cfg)
             assert Config.from_json(ref_config_to_json(cfg)) == cfg
-            assert term_from_json(ref_term_to_json(cfg.proc)) == cfg.proc
+            assert Term.from_json(ref_term_to_json(cfg.proc)) == cfg.proc
         assert action_from_json(ref_action_to_json(t.action)) == t.action
     traces = corpus_traces(steps)
     assert len(traces) > 50
@@ -331,8 +329,8 @@ def test_derived_sort_keys_order_as_the_hand_written_ones(monkeypatch) -> None:
     rng = random.Random(83)
     terms = [rand_term(rng) for _ in range(300)]
     for s, t in zip(terms, terms[1:] + terms[:1]):
-        assert (term_key(s) < term_key(t)) == (ref_term_key(s) < ref_term_key(t))
-        assert (term_key(s) == term_key(t)) == (s == t)
+        assert (Term.key(s) < Term.key(t)) == (ref_term_key(s) < ref_term_key(t))
+        assert (Term.key(s) == Term.key(t)) == (s == t)
     actions = [Tau(), Input(Atom(0), Atom(1)), Input(Atom(1), Atom(0)), Output(Atom(0), Atom(0)),
                BoundOutput(Atom(0), Atom(2))]
     assert sorted(actions, key=Action.key) == sorted(actions, key=ref_action_key)
@@ -388,7 +386,7 @@ def through_text(v):
 @settings(max_examples=150, deadline=None)
 @given(terms)
 def test_terms_round_trip(t) -> None:
-    assert term_from_json(through_text(t)) == t
+    assert Term.from_json(through_text(t)) == t
 
 
 @settings(max_examples=60, deadline=None)
@@ -511,18 +509,18 @@ def nil_with_a_body(d):
     d["conclusion"]["src"]["proc"]["body"]["cont"] = {"tag": "nil", "body": {"tag": "nil"}}
 
 
-DERIVATION_KEYS = "['cofinite', 'conclusion', 'premises', 'rule', 'side']"
+DERIVATION_KEYS = '["cofinite", "conclusion", "premises", "rule", "side"]'
 MALFORMED = [
     (unknown_key, f"at /0: expected the keys {DERIVATION_KEYS},"
-                  " got ['cofinite', 'conclusion', 'extra', 'premises', 'rule', 'side']"),
+                  ' got ["cofinite", "conclusion", "extra", "premises", "rule", "side"]'),
     (no_side, f"at /0/premises/0: expected the keys {DERIVATION_KEYS},"
-              " got ['cofinite', 'conclusion', 'premises', 'rule']"),
-    (env_without_mod, "at /0/conclusion/src/env: expected the keys ['add', 'mod', 'remove', 'res'],"
-                      " got ['add', 'remove', 'res']"),
+              ' got ["cofinite", "conclusion", "premises", "rule"]'),
+    (env_without_mod, 'at /0/conclusion/src/env: expected the keys ["add", "mod", "remove", "res"],'
+                      ' got ["add", "remove", "res"]'),
     (rule_in_a_list, "at /0/rule: expected a string, got an array"),
     (premises_object, "at /0/premises: expected an array, got an object"),
-    (tau_with_a_channel, "at /0/premises/0/conclusion/action: expected the keys ['tag'], got ['c', 'tag']"),
-    (nil_with_a_body, "at /0/conclusion/src/proc/body/cont: expected the keys ['tag'], got ['body', 'tag']"),
+    (tau_with_a_channel, 'at /0/premises/0/conclusion/action: expected the keys ["tag"], got ["c", "tag"]'),
+    (nil_with_a_body, 'at /0/conclusion/src/proc/body/cont: expected the keys ["tag"], got ["body", "tag"]'),
 ]
 
 
@@ -542,7 +540,7 @@ def test_check_deriv_rejects_a_malformed_shape(capsys, tmp_path, corrupt, messag
         ((), [], "at /: expected an object, got an array"),
         (("conclusion", "action"), {"tag": "zap"}, "at /conclusion/action: no Action has the tag \"zap\""),
         (("conclusion", "src", "proc", "body", "msg"), {"free": 1, "bound": 0},
-         "at /conclusion/src/proc/body/msg: no Name has the keys ['bound', 'free']"),
+         'at /conclusion/src/proc/body/msg: no Name has the keys ["bound", "free"]'),
         (("premises", 0, "conclusion", "dst", "env", "mod"), 65,
          "at /premises/0/conclusion/dst/env/mod: expected a modulus in 1..64, got 65"),
         (("side", "atom"), -1, "at /side/atom: expected an atom index, got -1"),
@@ -566,7 +564,7 @@ def test_decode_errors_name_the_json_path(capsys, tmp_path, path, data, message)
 
 def test_name_decoding_names_the_key_set() -> None:
     with pytest.raises(DecodeError, match="no Name has the keys"):
-        name_from_json({"atom": 1})
+        Name.from_json({"atom": 1})
 
 
 # ------------- trace files: the names table and the chain of steps -------------
@@ -590,8 +588,11 @@ NOT_AN_IDENTIFIER = "expected an identifier as the key"
     [({"c": 0, "y1": 0, "n1": 2}, "/y1: atom 0 is already named c"),
      ({"c": 0, "y1": 1, "n1": 1}, "/n1: atom 1 is already named y1"),
      ({"c": 0, "x y": 1, "n1": 2}, f"/x y: {NOT_AN_IDENTIFIER}"),
-     ({"c": 0, "y1": 1, "2n": 2}, f"/2n: {NOT_AN_IDENTIFIER}"), ([], ": expected an object, got an array")],
-    ids=["shared-atom", "shared-atom-later", "space", "leading-digit", "list"],
+     ({"c": 0, "y1": 1, "2n": 2}, f"/2n: {NOT_AN_IDENTIFIER}"),
+     # A key is one step of the path, escaped as JSON Pointer escapes it (RFC 6901).
+     ({"c": 0, "a/b": 1, "n1": 2}, f"/a~1b: {NOT_AN_IDENTIFIER}"),
+     ({"c": 0, "a~1": 1, "n1": 2}, f"/a~01: {NOT_AN_IDENTIFIER}"), ([], ": expected an object, got an array")],
+    ids=["shared-atom", "shared-atom-later", "space", "leading-digit", "slash", "tilde", "list"],
 )
 def test_rename_rejects_a_bad_names_table(capsys, tmp_path, names, message) -> None:
     traced, data = trace_file(capsys, tmp_path)
@@ -701,10 +702,10 @@ def test_shared_decoding_keeps_leaf_ints_apart_from_identities() -> None:
     # Bound(i) is keyed by the value i and Free(a) by the atom, so no
     # identity of a shared child can stand in for either.
     table: dict = {}
-    names = [name_from_json(x, table) for x in ({"bound": 0}, {"free": 0}, {"bound": 0}, {"bound": 1})]
+    names = [Name.from_json(x, table) for x in ({"bound": 0}, {"free": 0}, {"bound": 0}, {"bound": 1})]
     assert names == [Bound(0), Free(Atom(0)), Bound(0), Bound(1)]
     assert names[0] is names[2] and names[3] is not names[0]
-    terms = [term_from_json(x) for x in ({"tag": "rep", "body": {"tag": "nil"}}, {"tag": "res", "body": {"tag": "nil"}})]
+    terms = [Term.from_json(x) for x in ({"tag": "rep", "body": {"tag": "nil"}}, {"tag": "res", "body": {"tag": "nil"}})]
     assert terms == [Rep(Nil()), Res(Nil())]
 
 

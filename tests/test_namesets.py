@@ -1,9 +1,11 @@
+import math
 import random
 from functools import reduce
 
 import pytest
 
 from lnpi.atoms import Atom, Permutation, swap
+from lnpi.gen import rand_finite_nameset, rand_nameset
 from lnpi.namesets import (
     MAX_JSON_MODULUS,
     AllNamesAvoided,
@@ -83,8 +85,8 @@ def test_finite_cofinite_periodic_classification() -> None:
     assert NameSet.finite([a[0]]).is_finite()
     assert NameSet.cofinite([a[0]]).is_cofinite()
     assert not NameSet.cofinite([a[0]]).is_finite()
-    assert ODD.is_infinite() and not ODD.is_cofinite()
-    assert NameSet.all_atoms().is_all()
+    assert not ODD.is_finite() and not ODD.is_cofinite()
+    assert NameSet.all_atoms() == NameSet.cofinite([])
 
 
 # ------------- enumeration and choice -------------
@@ -181,6 +183,31 @@ def test_boolean_ops_agree_with_pointwise_membership() -> None:
         assert members_upto(s.inter(t), upto) == members_upto(s, upto) & members_upto(t, upto)
         assert members_upto(s.difference(t), upto) == members_upto(s, upto) - members_upto(t, upto)
         assert members_upto(s.complement(), upto) == set(range(upto)) - members_upto(s, upto)
+
+
+def ref_binary(s: NameSet, t: NameSet, op) -> NameSet:
+    """The residue scan every boolean operation ran before finite sets took
+    the frozenset operations on their flips, kept as the reference."""
+    mod = math.lcm(s.modulus, t.modulus)
+    res = frozenset(r for r in range(mod) if op(s._base(r), t._base(r)))
+    flips = frozenset(a for a in s.flips | t.flips
+                      if op(s._member_index(a), t._member_index(a)) != ((a % mod) in res))
+    return NameSet(mod, res, flips)
+
+
+def test_the_finite_path_agrees_with_the_residue_scan() -> None:
+    rng = random.Random(61)
+    ops = [(NameSet.union, lambda x, y: x or y), (NameSet.inter, lambda x, y: x and y),
+           (NameSet.difference, lambda x, y: x and not y)]
+    for k in range(600):
+        # Two finite sets take the frozenset path; the rest check the scan is still taken.
+        s = rand_finite_nameset(rng, size=6)
+        t = rand_finite_nameset(rng, size=6) if k % 2 else rand_nameset(rng)
+        for method, op in ops:
+            got, want = method(s, t), ref_binary(s, t, op)
+            assert got == want and got.flips == want.flips and got.key() == want.key()
+            got, want = method(t, s), ref_binary(t, s, op)
+            assert got == want and got.key() == want.key()
 
 
 def _mod2(s: NameSet) -> NameSet:

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from lnpi import props
 from lnpi.atoms import Atom, swap
-from lnpi.gen import rand_term
+from lnpi.gen import rand_open_term, rand_perm, rand_term
 from lnpi.namesets import NameSet
 from lnpi.permtypes import IndexedFamily
 from lnpi.pisyntax import (
@@ -15,15 +16,16 @@ from lnpi.pisyntax import (
     Par,
     Rep,
     Res,
+    Name,
     Sum,
+    Term,
+    free_atoms,
     free_names,
-    name_from_json,
+    map_names,
+    name_levels,
     par_factors,
-    term_from_json,
-    term_key,
     term_lc,
     term_size,
-    term_to_json,
 )
 
 a = [Atom(i) for i in range(10)]
@@ -179,13 +181,13 @@ def test_support_is_free_names() -> None:
 
 def test_term_key_orders_constructors_and_contents() -> None:
     ts = [EXTRUDER, Nil(), FORWARDER, Par(Nil(), Nil())]
-    ordered = sorted(ts, key=term_key)
-    assert set(map(term_key, ts)) == set(map(term_key, ordered))
-    assert sorted(map(term_key, ts)) == list(map(term_key, ordered))
+    ordered = sorted(ts, key=Term.key)
+    assert set(map(Term.key, ts)) == set(map(Term.key, ordered))
+    assert sorted(map(Term.key, ts)) == list(map(Term.key, ordered))
 
 
 def test_term_key_distinguishes_free_and_bound() -> None:
-    assert term_key(Out(Free(a[0]), Free(a[0]), Nil())) != term_key(Out(Free(a[0]), Bound(0), Nil()))
+    assert Out(Free(a[0]), Free(a[0]), Nil()).key() != Out(Free(a[0]), Bound(0), Nil()).key()
 
 
 # ------------- JSON -------------
@@ -193,25 +195,25 @@ def test_term_key_distinguishes_free_and_bound() -> None:
 
 def test_json_round_trip_on_fixed_terms() -> None:
     for t in (Nil(), EXTRUDER, FORWARDER, Rep(Par(EXTRUDER, Nil())), sum_of(Nil(), FORWARDER)):
-        assert term_from_json(term_to_json(t)) == t
+        assert Term.from_json(t.to_json()) == t
 
 
 def test_json_round_trip_on_random_terms() -> None:
     rng = random.Random(43)
     for _ in range(200):
         t = rand_term(rng)
-        assert term_from_json(term_to_json(t)) == t
+        assert Term.from_json(t.to_json()) == t
 
 
 def test_json_tags_are_stable() -> None:
-    data = term_to_json(EXTRUDER)
+    data = EXTRUDER.to_json()
     assert data["tag"] == "res"
     assert data["body"]["tag"] == "out"
 
 
 def test_json_rejects_unknown_tags() -> None:
     with pytest.raises((KeyError, ValueError)):
-        term_from_json({"tag": "bang"})
+        Term.from_json({"tag": "bang"})
 
 
 @pytest.mark.parametrize(
@@ -220,4 +222,133 @@ def test_json_rejects_unknown_tags() -> None:
 )
 def test_name_json_needs_exactly_one_natural_field(data) -> None:
     with pytest.raises(ValueError):
-        name_from_json(data)
+        Name.from_json(data)
+
+
+# ------------- cached facts, hashes, skips and equality -------------
+
+# The plain paths the cached facts and the skips replace, kept as the reference.
+
+
+def ref_free_atoms(t) -> frozenset[int]:
+    return frozenset(n.atom.index for n, _ in name_levels(t) if isinstance(n, Free))
+
+
+def ref_lc_at(t, i: int) -> bool:
+    return all(n.lc_at(d) for n, d in name_levels(t, i))
+
+
+def ref_map_names(t, f, i: int = 0):
+    """map_names with no skip: every subterm is walked."""
+    return map_names(t, f, lambda u, d: False, i)
+
+
+def all_subterms(t) -> list:
+    out, todo = [], [t]
+    while todo:
+        u = todo.pop()
+        out.append(u)
+        todo += u.subterms()
+    return out
+
+
+def fields_hash(u) -> int:
+    # What a dataclass's __hash__ computes: the hash of the field tuple.
+    return hash(tuple(getattr(u, name) for name in u.__match_args__))
+
+
+def corpus() -> list:
+    """Generated terms, the binder-axiom suite's terms, and their openings,
+    closings and permutations, as that suite builds them."""
+    rng = random.Random(53)
+    out = [EXTRUDER, FORWARDER, Nil()]
+    for _ in range(150):
+        out += [rand_term(rng), rand_open_term(rng, depth=3)]
+        for label, v in props._ln_instances(rng):
+            if label == "term":
+                x = a[rng.randrange(6)]
+                out += [v, v.open_at(rng.randrange(3), x), v.close_at(rng.randrange(3), x), v.perm_apply(rand_perm(rng))]
+    return out
+
+
+def fresh_copy(t):
+    """An equal term built anew, so that no node of it holds facts."""
+    copy = Term.from_json(t.to_json())
+    assert copy == t and not any(hasattr(u, "_lc") or hasattr(u, "_hash") for u in all_subterms(copy))
+    return copy
+
+
+def test_cached_facts_match_the_name_walk() -> None:
+    for t in corpus():
+        for u in all_subterms(fresh_copy(t)):
+            assert free_atoms(u) == ref_free_atoms(u)
+            assert free_names(u) == NameSet.finite(Atom(i) for i in ref_free_atoms(u))
+            levels = [i for i in range(8) if ref_lc_at(u, i)]
+            assert u._lc == levels[0]
+            assert [u.lc_at(i) for i in range(8)] == [ref_lc_at(u, i) for i in range(8)]
+
+
+def test_the_stored_hash_is_the_hash_of_the_fields() -> None:
+    for t in corpus():
+        for u in all_subterms(fresh_copy(t)):
+            assert hash(u) == fields_hash(u) == u._hash
+    # The field hash of atoms and levels is the same in every process, so it can be pinned.
+    assert hash(Nil()) == hash(())
+    assert hash(EXTRUDER) == hash((Out(Free(a[0]), Bound(0), Nil()),)) == hash(((Free(a[0]), Bound(0), Nil()),))
+
+
+def test_each_skip_returns_what_the_plain_traversal_returns() -> None:
+    rng = random.Random(59)
+    for t in corpus():
+        x, p = a[rng.randrange(6)], rand_perm(rng)
+        i = rng.randrange(3)
+        cases = [
+            (lambda u: u.open_at(i, x), lambda n, d: n.open_at(d, x), i),
+            (lambda u: u.close_at(i, x), lambda n, d: n.close_at(d, x), i),
+            (lambda u: u.perm_apply(p), lambda n, _: n.perm_apply(p), 0),
+        ]
+        hash(t), free_names(t)  # t holds its facts, its fresh copy none
+        for op, f, level in cases:
+            for u in (fresh_copy(t), t):
+                got, want = op(u), ref_map_names(u, f, level)
+                assert got == want
+                assert (got is u) == (want is u)
+
+
+def test_skips_read_only_the_facts_a_node_holds() -> None:
+    t = fresh_copy(Par(EXTRUDER, FORWARDER))
+    t.open_at(0, a[5])
+    t.close_at(0, a[5])
+    t.perm_apply(swap(a[0], a[5]))
+    assert not any(hasattr(u, "_lc") for u in all_subterms(t))
+    # Once t holds its facts, a closed subterm is kept whole, not walked.
+    free_names(t)
+    assert t.open_at(0, a[5]) is t and t.close_at(0, a[5]) is t
+    assert t.perm_apply(swap(a[5], a[6])) is t
+    moved = t.perm_apply(swap(a[1], a[5]))
+    assert moved.left is t.left and moved.right != t.right
+
+
+def chain(n: int, leaf) -> Term:
+    # n nested Pars, built bottom-up: Par(c!c.0, Par(c!c.0, ... leaf)).
+    t = leaf
+    for _ in range(n):
+        t = Par(Out(Free(a[0]), Free(a[0]), Nil()), t)
+    return t
+
+
+@pytest.mark.parametrize("depth", [400, 10_000])
+@pytest.mark.parametrize("hashed", [False, True], ids=["unhashed", "hashed"])
+def test_equality_of_deep_chains_takes_no_frames(depth, hashed) -> None:
+    leaf, other = Out(Free(a[1]), Free(a[1]), Nil()), Out(Free(a[1]), Free(a[2]), Nil())
+    s, t, u = chain(depth, leaf), chain(depth, leaf), chain(depth, other)
+    if hashed:
+        assert hash(s) == hash(t) != hash(u)
+    assert s is not t and s == t and not s != t
+    assert s != u and not s == u
+    assert len({s, t, u}) == 2
+
+
+def test_equality_with_another_type_is_false() -> None:
+    assert Nil() != Res(Nil()) and Par(Nil(), Nil()) != (Nil(), Nil())
+    assert Nil() == Nil() and Nil() != 0
