@@ -11,7 +11,8 @@ the annotations, resolved once per class: ``str``, a natural ``int``,
 None, ``{"atom": i}`` for a later ``Atom``), a record, or a leaf class
 with its own ``to_json``/``from_json``/``key``.  Decoding checks the tag,
 the exact key set and each kind, raising ``DecodeError`` with the JSON
-path; ``key()`` orders by the tag (or key set), then each field's key.
+path; ``key()`` orders by the tag (or key set), then each field's key,
+and raises ``TypeError`` on a record that holds a union.
 
 Both directions keep sharing within one outermost call through a table
 that lives that long only: a plain dict, which a caller passes to several
@@ -100,7 +101,11 @@ class Record:
         return _kind(cls).dec(data, {} if table is None else table)
 
     def key(self) -> tuple:
+        """self's sort key.  A record with a union field has none: a union is
+        not ordered, so key raises TypeError naming the field."""
         kind = _KINDS.get(type(self)) or _kind(type(self))
+        if kind.unkeyed:
+            raise TypeError(f"{kind.cls.__name__} has no sort key: its field {kind.unkeyed} is a union")
         out = [kind.first]
         for get, key in kind.sorts:
             out.append(key(get(self)))
@@ -224,8 +229,8 @@ def _array(item: _Kind) -> _Kind:
 
 
 def _union(alts: list, optional: bool) -> _Kind:
-    # No keyed record holds a union, so it has no sort key.  It shares if one
-    # of its alternatives does; it then passes the table to those that do.
+    # A union has no sort key (see Record.key).  It shares if one of its
+    # alternatives does; it then passes the table to those that do.
     first = _kind(alts[0])
     wrapped = {a.__name__.lower(): (a, _kind(a)) for a in alts[1:]}
 
@@ -272,6 +277,7 @@ def _record(cls: type, kind: _Kind) -> None:
     kind.encs = [(key, attrgetter(path), f.enc, f.shares) for (key, path, _), f in zip(fields, kinds)]
     kind.decs = [(key, f.dec, f.shares) for (key, _, _), f in zip(fields, kinds)]
     kind.sorts = [(attrgetter(path), f.key) for (_, path, _), f in zip(fields, kinds)]
+    kind.unkeyed = next((path for (_, path, _), f in zip(fields, kinds) if f.key is None), None)
     if any(make for make, _ in layout):
         def build(*vals):
             rest = iter(vals)

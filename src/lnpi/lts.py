@@ -38,12 +38,12 @@ while they live.  The mover, ``Derivation.perm_apply``, walks with an
 explicit stack and remembers each (node, permutation) it moved, so a
 shared premise is moved once and its copy is shared; ``step``'s
 canonicalisation, ``_moved`` and ``rename_trace`` move through it.  The
-checker's ``check_each`` remembers each (node, extra witnesses, guards
-skipped) that passed, over all the derivations it checks, and skips it,
-with its subtree, when met again; the CLI's ``check-deriv`` and
-``rename_trace`` check through it.  ``check`` of one derivation keeps no
-such table: the repeats are across derivations.  No table outlives the
-call that made it, so importing the module keeps no cache state.
+checker remembers each (node, extra witnesses, guards skipped) that
+passed and skips it, with its subtree, when met again.  ``check`` keeps
+that table for one derivation, ``check_each`` for all those it checks, so
+the CLI's ``check-deriv`` and ``rename_trace``, which check through it,
+check a node the derivations share once.  No table outlives the call that
+made it, so importing the module keeps no cache state.
 """
 
 from __future__ import annotations
@@ -507,10 +507,7 @@ _MOVE = object()  # check's marker: move the cofinite node at this entry's path
 
 def check(d: Derivation, extra_witnesses: int = 0) -> None:
     """Validate every node; raises CheckError on the first violation."""
-    # No success table: one derivation hardly ever holds a node twice (none
-    # of ROADMAP's fuel-6 derivations or of 823 random ones does), so a table
-    # would only cost.  The repeats are across derivations: check_each.
-    _walk(d, extra_witnesses, None, None)
+    _walk(d, extra_witnesses, {}, {})
 
 
 def check_each(derivs, extra_witnesses: int = 0):
@@ -524,12 +521,12 @@ def check_each(derivs, extra_witnesses: int = 0):
         yield d
 
 
-def _walk(d: Derivation, extra_witnesses: int, done: dict | None, moves: dict | None) -> None:
+def _walk(d: Derivation, extra_witnesses: int, done: dict, moves: dict) -> None:
     # Entries are (node, extra witnesses, path, moved).  moved is None for
     # the nodes of d, (path, w2) for a node moved to witness w2 and the
     # nodes under it, and _MOVE for the cofinite node at path: that entry
     # lies below its premises' entries, so it is reached once they passed.
-    # done, the success table if any, maps (id(node), extra, guards skipped)
+    # done, the success table, maps (id(node), extra, guards skipped)
     # to the node once its own check passed; met again, it is skipped with
     # its subtree.  That is sound because the stack is LIFO: the subtree is
     # popped before anything pushed before the node, and a failure in it
@@ -543,10 +540,9 @@ def _walk(d: Derivation, extra_witnesses: int, done: dict | None, moves: dict | 
             continue
         # The guards are skipped at a moved node itself, not at the nodes under it.
         skip = moved is not None and path == moved[0]
-        if done is not None:
-            key = (id(d), extra, skip)
-            if key in done:
-                continue
+        key = (id(d), extra, skip)
+        if key in done:
+            continue
         try:
             _check(d, path, skip)
         except CheckError as e:
@@ -554,21 +550,18 @@ def _walk(d: Derivation, extra_witnesses: int, done: dict | None, moves: dict | 
                 raise
             at, w2 = moved
             _fail("FreshnessViolated", at, f"premises not re-derivable at witness {w2!r}: {e}")
-        if done is not None:
-            done[key] = d
+        done[key] = d
         if extra and d.cofinite:
             todo.append((d, extra, path, _MOVE))
         for i in range(len(d.premises) - 1, -1, -1):
             todo.append((d.premises[i], extra, path + (i,), moved))
 
 
-def _moved(d: Derivation, w2: Atom, moves: dict | None = None) -> Derivation:
+def _moved(d: Derivation, w2: Atom, moves: dict) -> Derivation:
     """d re-derived at witness w2: the same conclusion, for which both
     witnesses are fresh, over the premises with the witnesses swapped by
     the mover, through its table moves (see Derivation.perm_apply)."""
     sw = swap(d.cofinite.witness, w2)
-    if moves is None:
-        moves = {}
     return Derivation(d.rule, d.conclusion, tuple(q.perm_apply(sw, moves) for q in d.premises),
                       Cofinite(d.cofinite.avoid, w2), d.side)
 

@@ -221,9 +221,13 @@ def print_term(t: Term, symtab: dict[str, Atom] | None = None) -> str:
     symtab = symtab or {}
 
     def par_level(t: Term) -> str:
-        if isinstance(t, Par):
-            return f"{par_level(t.left)} | {prefix_level(t.right)}"
-        return prefix_level(t)
+        # "|" associates left: the spine runs down the left operands.
+        parts = []
+        while isinstance(t, Par):
+            parts.append(prefix_level(t.right))
+            t = t.left
+        parts.append(prefix_level(t))
+        return " | ".join(reversed(parts))
 
     def prefix_level(t: Term) -> str:
         match t:

@@ -1,8 +1,19 @@
 """Locally nameless pi-calculus syntax.
 
-Bound occurrences are de Bruijn indices counting enclosing binders
-(input prefix and restriction each bind one level), free occurrences are
-atoms.  Alpha-equivalence is therefore plain structural equality.
+Bound occurrences are de Bruijn indices counting enclosing binders, free
+occurrences are atoms.  Alpha-equivalence is therefore plain structural
+equality.
+
+A constructor says that it binds in one place, its ``binds`` attribute:
+1 for ``Inp`` and ``Res``, 0 (``Term``'s) for the rest.  Each of its fields
+is a name, a term or an ``IndexedFamily`` of terms, as its annotation says,
+read once per class.  Its names sit at the node's level and its terms
+``binds`` levels below it.  From that layout alone come the generic
+definitions of the locally nameless scheme (Charguéraud, *The Locally
+Nameless Representation*, JAR 2012): ``Term.subterms``, the facts below,
+``map_names``, which rebuilds a term with each name replaced by a function
+of the name and its level, ``name_levels``, which lists the names with
+their levels in preorder, and ``term_lc``.
 
 Every term node holds three facts, each stored when first needed and
 computed from its children's with an explicit stack: its free atoms (a
@@ -15,28 +26,26 @@ nodes that hold differing hashes without looking further.  Neither it nor
 construction computes facts, so parsing and printing pay for facts only
 where they read them.
 
-Only ``Inp`` and ``Res`` shift the level, and that rule lives in two
-traversals (the generic scheme of Charguéraud, *The Locally Nameless
-Representation*, JAR 2012): ``map_names`` rebuilds a term with each name
-replaced by a function of the name and its level, and ``name_levels``
-lists the names with their levels in preorder.  ``map_names`` keeps a
-subterm that its skip predicate says the function leaves alone, judged
-from the facts the subterm already holds (the predicates never compute
-facts): ``open_at`` keeps a subterm locally closed at its level, since
-opening it does nothing (Charguéraud), ``close_at`` one that does not hold
-the atom, and ``perm_apply`` one whose free atoms the permutation fixes
-(Pitts, *Nominal Sets*, CUP 2013).  These methods are one line each over
-``map_names``, with the per-name cases as methods of ``Free``/``Bound``.
+``map_names`` keeps a subterm that its skip predicate says the function
+leaves alone, judged from the facts the subterm already holds (the
+predicates never compute facts): ``open_at`` keeps a subterm locally closed
+at its level, since opening it does nothing (Charguéraud), ``close_at`` one
+that does not hold the atom, and ``perm_apply`` one whose free atoms the
+permutation fixes (Pitts, *Nominal Sets*, CUP 2013).  These methods are one
+line each over ``map_names``, with the per-name cases as methods of
+``Free``/``Bound``.
 
 Two local-closure deciders are exposed: ``Term.lc_at`` compares the level
 with the least one at which the term is closed, ``term_lc`` follows the
 inductive definition, opening each binder body with fresh witnesses.  They
-agree (tested property).
+agree (tested property).  ``name_levels`` and ``term_lc`` walk with an
+explicit stack; ``map_names`` recurses.
 """
 
 from __future__ import annotations
 
 import operator
+import typing
 from dataclasses import dataclass
 from typing import Callable
 
@@ -96,13 +105,34 @@ class Bound(Name):
         return NameSet.empty()
 
 
+# The kinds of a constructor's fields.
+_NAME, _TERM, _FAMILY = "name", "term", "family"
+
+
 class Term(Record):
-    """A process.  Each constructor lists its subterms (``subterms``) and
-    derives its free atoms and closure level from theirs (``_derive``)."""
+    """A process.  A constructor declares the levels it binds (``binds``);
+    its subterms, facts and traversals derive from that and its fields."""
 
     # The facts of the module docstring, unset until first needed: _facts
     # stores _fv and _lc, __hash__ stores _hash.
     __slots__ = ("_fv", "_lc", "_hash")
+    binds = 0
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        # _layout: the constructor's fields with their kinds, in declaration order.
+        super().__init_subclass__(**kwargs)
+        kinds = {Name: _NAME, Term: _TERM, IndexedFamily: _FAMILY}
+        cls._layout = tuple((field, kinds[tp]) for field, tp in typing.get_type_hints(cls).items())
+
+    def subterms(self) -> list[Term]:
+        """The subterms in declaration order, a family's parts in its order."""
+        out = []
+        for field, kind in self._layout:
+            if kind is _TERM:
+                out.append(getattr(self, field))
+            elif kind is _FAMILY:
+                out += getattr(self, field).parts()
+        return out
 
     def __hash__(self) -> int:
         try:
@@ -160,18 +190,9 @@ class Term(Record):
         return free_names(self)
 
 
-_NO_ATOMS: frozenset[int] = frozenset()
-
-
 @dataclass(frozen=True, slots=True, eq=False)
 class Nil(Term):
     tag = "nil"
-
-    def subterms(self) -> tuple[Term, ...]:
-        return ()
-
-    def _derive(self) -> tuple[frozenset[int], int]:
-        return _NO_ATOMS, 0
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -180,25 +201,13 @@ class Sum(Term):
     json_keys = {"procs": {"entries": tuple[Term, ...], "default": Term}}
     procs: IndexedFamily  # countable choice: finite prefix + default
 
-    def subterms(self) -> tuple[Term, ...]:
-        return self.procs.parts()
-
-    def _derive(self) -> tuple[frozenset[int], int]:
-        parts = self.procs.parts()
-        return _NO_ATOMS.union(*(p._fv for p in parts)), max(p._lc for p in parts)
-
 
 @dataclass(frozen=True, slots=True, eq=False)
 class Inp(Term):
     tag = "inp"
+    binds = 1
     chan: Name
-    body: Term  # binds one level
-
-    def subterms(self) -> tuple[Term, ...]:
-        return (self.body,)
-
-    def _derive(self) -> tuple[frozenset[int], int]:
-        return _with_name(self.chan, self.body._fv, max(self.body._lc - 1, 0))
+    body: Term
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -208,12 +217,6 @@ class Out(Term):
     msg: Name
     cont: Term
 
-    def subterms(self) -> tuple[Term, ...]:
-        return (self.cont,)
-
-    def _derive(self) -> tuple[frozenset[int], int]:
-        return _with_name(self.chan, *_with_name(self.msg, self.cont._fv, self.cont._lc))
-
 
 @dataclass(frozen=True, slots=True, eq=False)
 class Par(Term):
@@ -221,25 +224,12 @@ class Par(Term):
     left: Term
     right: Term
 
-    def subterms(self) -> tuple[Term, ...]:
-        return (self.left, self.right)
-
-    def _derive(self) -> tuple[frozenset[int], int]:
-        a, b = self.left._fv, self.right._fv
-        # a | b, reusing an operand that holds the other: nested terms share their sets.
-        return (a if b <= a else b if a <= b else a | b), max(self.left._lc, self.right._lc)
-
 
 @dataclass(frozen=True, slots=True, eq=False)
 class Res(Term):
     tag = "res"
-    body: Term  # binds one level
-
-    def subterms(self) -> tuple[Term, ...]:
-        return (self.body,)
-
-    def _derive(self) -> tuple[frozenset[int], int]:
-        return self.body._fv, max(self.body._lc - 1, 0)
+    binds = 1
+    body: Term
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -247,19 +237,21 @@ class Rep(Term):
     tag = "rep"
     body: Term
 
-    def subterms(self) -> tuple[Term, ...]:
-        return (self.body,)
 
-    def _derive(self) -> tuple[frozenset[int], int]:
-        return self.body._fv, self.body._lc
-
-
-def _with_name(n: Name, fv: frozenset[int], lc: int) -> tuple[frozenset[int], int]:
-    # The facts fv, lc of a node's subterm, joined with a name at the node's level.
-    if type(n) is Free:
-        i = n.atom.index
-        return (fv if i in fv else fv | {i}), lc
-    return fv, max(lc, n.level + 1)
+def _parts(u: Term, d: int) -> list[tuple[Name | Term, int]]:
+    """u's names and subterms in declaration order, a family's parts in its
+    order, each with its level when u is at level d."""
+    out: list[tuple[Name | Term, int]] = []
+    below = d + u.binds
+    for field, kind in u._layout:
+        x = getattr(u, field)
+        if kind is _NAME:
+            out.append((x, d))
+        elif kind is _TERM:
+            out.append((x, below))
+        else:
+            out += [(s, below) for s in x.parts()]
+    return out
 
 
 def _fill(t: Term, fact: str, store: Callable[[Term], None]) -> Term:
@@ -279,8 +271,26 @@ def _fill(t: Term, fact: str, store: Callable[[Term], None]) -> Term:
     return t
 
 
+# One empty set for every node without free atoms: frozenset() builds a new one each call.
+_NO_ATOMS: frozenset[int] = frozenset()
+
+
 def _store_facts(u: Term) -> None:
-    fv, lc = u._derive()
+    # The free atoms are the union over the names and subterms.  The closure
+    # level is the max of level + 1 over the Bound names and of a subterm's
+    # less the binders above it, floored at 0.
+    fv, lc = _NO_ATOMS, 0
+    for x, d in _parts(u, 0):
+        if type(x) is Free:
+            if x.atom.index not in fv:
+                fv = fv | {x.atom.index}
+        elif type(x) is Bound:
+            lc = max(lc, x.level + 1)
+        else:
+            b = x._fv
+            # fv | b, reusing an operand that holds the other: nested terms share their sets.
+            fv = fv if b <= fv else b if fv <= b else fv | b
+            lc = max(lc, x._lc - d)
     object.__setattr__(u, "_fv", fv)
     object.__setattr__(u, "_lc", lc)
 
@@ -308,59 +318,30 @@ def map_names(t: Term, f: Callable[[Name, int], Name], keep: Callable[[Term, int
     object and compare by identity."""
     if keep(t, i):
         return t
-    match t:
-        case Nil():
-            return t
-        case Sum(fam):
-            entries = tuple(map_names(e, f, keep, i) for e in fam.entries)
-            default = map_names(fam.default, f, keep, i)
-            if default is fam.default and all(map(operator.is_, entries, fam.entries)):
-                return t
-            return Sum(IndexedFamily(entries, default))
-        case Inp(c, b):
-            c2, b2 = f(c, i), map_names(b, f, keep, i + 1)
-            return t if c2 is c and b2 is b else Inp(c2, b2)
-        case Out(c, m, k):
-            c2, m2, k2 = f(c, i), f(m, i), map_names(k, f, keep, i)
-            return t if c2 is c and m2 is m and k2 is k else Out(c2, m2, k2)
-        case Par(l, r):
-            l2, r2 = map_names(l, f, keep, i), map_names(r, f, keep, i)
-            return t if l2 is l and r2 is r else Par(l2, r2)
-        case Res(b):
-            b2 = map_names(b, f, keep, i + 1)
-            return t if b2 is b else Res(b2)
-        case Rep(b):
-            b2 = map_names(b, f, keep, i)
-            return t if b2 is b else Rep(b2)
-    raise TypeError(f"not a term: {t!r}")
+    j, vals, changed = i + t.binds, [], False
+    for field, kind in t._layout:
+        x = getattr(t, field)
+        if kind is _NAME:
+            y = f(x, i)
+        elif kind is _TERM:
+            y = map_names(x, f, keep, j)
+        else:
+            parts = [map_names(s, f, keep, j) for s in x.parts()]
+            y = x if all(map(operator.is_, parts, x.parts())) else IndexedFamily(tuple(parts[:-1]), parts[-1])
+        vals.append(y)
+        changed = changed or y is not x
+    return type(t)(*vals) if changed else t
 
 
-def name_levels(t: Term, i: int = 0, out: list | None = None) -> list[tuple[Name, int]]:
-    """The names of t in preorder, each paired with i plus the binders above
-    it (appended to out when given)."""
-    if out is None:
-        out = []
-    match t:
-        case Nil():
-            pass
-        case Sum(fam):
-            for e in fam.parts():
-                name_levels(e, i, out)
-        case Inp(c, b):
-            out.append((c, i))
-            name_levels(b, i + 1, out)
-        case Out(c, m, k):
-            out += ((c, i), (m, i))
-            name_levels(k, i, out)
-        case Par(l, r):
-            name_levels(l, i, out)
-            name_levels(r, i, out)
-        case Res(b):
-            name_levels(b, i + 1, out)
-        case Rep(b):
-            name_levels(b, i, out)
-        case _:
-            raise TypeError(f"not a term: {t!r}")
+def name_levels(t: Term, i: int = 0) -> list[tuple[Name, int]]:
+    """The names of t in preorder, each paired with i plus the binders above it."""
+    out, todo = [], [(t, i)]
+    while todo:
+        x, d = todo.pop()
+        if isinstance(x, Name):
+            out.append((x, d))
+        else:
+            todo += reversed(_parts(x, d))
     return out
 
 
@@ -384,28 +365,19 @@ LC_EXTRA_WITNESSES = 3
 
 
 def term_lc(t: Term) -> bool:
-    """Local closure by the inductive definition: every binder body must be
-    locally closed once opened with any sufficiently fresh atom."""
-    match t:
-        case Nil():
-            return True
-        case Sum(f):
-            return all(term_lc(e) for e in f.parts())
-        case Inp(c, b):
-            return isinstance(c, Free) and all(
-                term_lc(b.open_at(0, w)) for w in free_names(b).least_outside(1 + LC_EXTRA_WITNESSES)
-            )
-        case Out(c, m, k):
-            return isinstance(c, Free) and isinstance(m, Free) and term_lc(k)
-        case Par(l, r):
-            return term_lc(l) and term_lc(r)
-        case Res(b):
-            return all(
-                term_lc(b.open_at(0, w)) for w in free_names(b).least_outside(1 + LC_EXTRA_WITNESSES)
-            )
-        case Rep(b):
-            return term_lc(b)
-    raise TypeError(f"not a term: {t!r}")
+    """Local closure by the inductive definition: every name outside the
+    binders is free, and every binder body must be locally closed once
+    opened with any sufficiently fresh atom."""
+    todo = [t]
+    while todo:
+        for x, d in _parts(todo.pop(), 0):
+            if type(x) is Bound:
+                return False
+            if d:  # a binder body, opened at level 0
+                todo += [x.open_at(0, w) for w in free_names(x).least_outside(1 + LC_EXTRA_WITNESSES)]
+            elif isinstance(x, Term):
+                todo.append(x)
+    return True
 
 
 def term_size(t: Term) -> int:

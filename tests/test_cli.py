@@ -62,6 +62,15 @@ def test_json_output_of_a_process(capsys, command, printed) -> None:
     assert run(capsys, command, "new c. n!c. 0", "--json") == (0, printed + "\n", "")
 
 
+@pytest.mark.parametrize("command", ["fmt", "lc"])
+def test_fmt_and_lc_on_a_ten_thousand_component_parallel(capsys, command) -> None:
+    # The printer walks a "|" spine with a loop and term_lc with an explicit
+    # stack, so no depth limit applies to either.
+    n = 10_000
+    printed = " | ".join(["c!c. 0"] * n) if command == "fmt" else "true"
+    assert run(capsys, command, " | ".join(["c!c.0"] * n)) == (0, printed + "\n", "")
+
+
 # ------------- step -------------
 
 

@@ -336,6 +336,15 @@ def test_derived_sort_keys_order_as_the_hand_written_ones(monkeypatch) -> None:
     assert sorted(actions, key=Action.key) == sorted(actions, key=ref_action_key)
 
 
+def test_a_record_holding_a_union_has_no_sort_key() -> None:
+    # Derivation's cofinite and side fields are unions, which are not ordered.
+    t, n = parse("new c. n!c. 0")[0], Atom(0)
+    d = step(Config(NameSet.finite([n]), t), 1).results[0][1]
+    for x in (d, TraceStep(d.conclusion.action, d.conclusion.dst, d)):
+        with pytest.raises(TypeError, match="^Derivation has no sort key: its field cofinite is a union$"):
+            x.key()
+
+
 # ------------- round trips -------------
 
 atoms = st.integers(0, 80).map(Atom)

@@ -1058,7 +1058,7 @@ def test_moving_a_cofinite_node_permutes_it_whole() -> None:
             for q in walk(d):
                 if q.cofinite:
                     for w2 in q.support().least_outside(3):
-                        assert lts._moved(q, w2) == q.perm_apply(swap(q.cofinite.witness, w2))
+                        assert lts._moved(q, w2, {}) == q.perm_apply(swap(q.cofinite.witness, w2))
                         moves += 1
     assert moves > 400
 

@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from lnpi.pisyntax import (
     Name,
     Sum,
     Term,
+    LC_EXTRA_WITNESSES,
     free_atoms,
     free_names,
     map_names,
@@ -227,20 +229,114 @@ def test_name_json_needs_exactly_one_natural_field(data) -> None:
 
 # ------------- cached facts, hashes, skips and equality -------------
 
-# The plain paths the cached facts and the skips replace, kept as the reference.
+# The plain paths the derived traversals, the cached facts and the skips
+# replace, kept as the reference: one match ladder per operation, each
+# stating which constructors bind, so none reads a constructor's binds.
 
 
-def ref_free_atoms(t) -> frozenset[int]:
-    return frozenset(n.atom.index for n, _ in name_levels(t) if isinstance(n, Free))
+def ref_subterms(t) -> tuple:
+    match t:
+        case Nil():
+            return ()
+        case Sum(fam):
+            return fam.parts()
+        case Inp(_, b) | Res(b) | Rep(b) | Out(_, _, b):
+            return (b,)
+        case Par(l, r):
+            return (l, r)
+    raise TypeError(f"not a term: {t!r}")
 
 
-def ref_lc_at(t, i: int) -> bool:
-    return all(n.lc_at(d) for n, d in name_levels(t, i))
+def ref_name_levels(t, i: int = 0, out: list | None = None) -> list:
+    """The names of t in preorder, each with i plus the binders above it."""
+    if out is None:
+        out = []
+    match t:
+        case Nil():
+            pass
+        case Sum(fam):
+            for e in fam.parts():
+                ref_name_levels(e, i, out)
+        case Inp(c, b):
+            out.append((c, i))
+            ref_name_levels(b, i + 1, out)
+        case Out(c, m, k):
+            out += ((c, i), (m, i))
+            ref_name_levels(k, i, out)
+        case Par(l, r):
+            ref_name_levels(l, i, out)
+            ref_name_levels(r, i, out)
+        case Res(b):
+            ref_name_levels(b, i + 1, out)
+        case Rep(b):
+            ref_name_levels(b, i, out)
+        case _:
+            raise TypeError(f"not a term: {t!r}")
+    return out
 
 
 def ref_map_names(t, f, i: int = 0):
-    """map_names with no skip: every subterm is walked."""
-    return map_names(t, f, lambda u, d: False, i)
+    """t with each name under d binders replaced by f(n, i + d), every
+    subterm walked; a subterm whose names map to themselves is kept."""
+    match t:
+        case Nil():
+            return t
+        case Sum(fam):
+            entries = tuple(ref_map_names(e, f, i) for e in fam.entries)
+            default = ref_map_names(fam.default, f, i)
+            if default is fam.default and all(x is y for x, y in zip(entries, fam.entries)):
+                return t
+            return Sum(IndexedFamily(entries, default))
+        case Inp(c, b):
+            c2, b2 = f(c, i), ref_map_names(b, f, i + 1)
+            return t if c2 is c and b2 is b else Inp(c2, b2)
+        case Out(c, m, k):
+            c2, m2, k2 = f(c, i), f(m, i), ref_map_names(k, f, i)
+            return t if c2 is c and m2 is m and k2 is k else Out(c2, m2, k2)
+        case Par(l, r):
+            l2, r2 = ref_map_names(l, f, i), ref_map_names(r, f, i)
+            return t if l2 is l and r2 is r else Par(l2, r2)
+        case Res(b):
+            b2 = ref_map_names(b, f, i + 1)
+            return t if b2 is b else Res(b2)
+        case Rep(b):
+            b2 = ref_map_names(b, f, i)
+            return t if b2 is b else Rep(b2)
+    raise TypeError(f"not a term: {t!r}")
+
+
+def ref_free_atoms(t) -> frozenset[int]:
+    return frozenset(n.atom.index for n, _ in ref_name_levels(t) if isinstance(n, Free))
+
+
+def ref_lc_at(t, i: int) -> bool:
+    return all(n.lc_at(d) for n, d in ref_name_levels(t, i))
+
+
+def ref_term_lc(t) -> bool:
+    """Local closure by the inductive definition, each binder body opened
+    with ref_map_names at witnesses picked from ref_free_atoms."""
+
+    def opened(b) -> list:
+        fresh = NameSet.finite(map(Atom, ref_free_atoms(b))).least_outside(1 + LC_EXTRA_WITNESSES)
+        return [ref_map_names(b, lambda n, d: n.open_at(d, w), 0) for w in fresh]
+
+    match t:
+        case Nil():
+            return True
+        case Sum(fam):
+            return all(ref_term_lc(e) for e in fam.parts())
+        case Inp(c, b):
+            return isinstance(c, Free) and all(map(ref_term_lc, opened(b)))
+        case Out(c, m, k):
+            return isinstance(c, Free) and isinstance(m, Free) and ref_term_lc(k)
+        case Par(l, r):
+            return ref_term_lc(l) and ref_term_lc(r)
+        case Res(b):
+            return all(map(ref_term_lc, opened(b)))
+        case Rep(b):
+            return ref_term_lc(b)
+    raise TypeError(f"not a term: {t!r}")
 
 
 def all_subterms(t) -> list:
@@ -248,7 +344,7 @@ def all_subterms(t) -> list:
     while todo:
         u = todo.pop()
         out.append(u)
-        todo += u.subterms()
+        todo += ref_subterms(u)
     return out
 
 
@@ -276,6 +372,43 @@ def fresh_copy(t):
     copy = Term.from_json(t.to_json())
     assert copy == t and not any(hasattr(u, "_lc") or hasattr(u, "_hash") for u in all_subterms(copy))
     return copy
+
+
+def ladder_disagreements(terms) -> list[tuple[str, Term]]:
+    """Each (operation, subterm) at which the layout-derived subterms, facts,
+    name_levels, term_lc or map_names (opening, closing, permuting) differ
+    from the ladders, over every subterm of terms, built afresh so that its
+    facts are computed here."""
+    rng = random.Random(61)
+    out = []
+    for t in terms:
+        x, p, i = a[rng.randrange(6)], rand_perm(rng), rng.randrange(3)
+        maps = [(lambda n, d: n.open_at(d, x), i), (lambda n, d: n.close_at(d, x), i),
+                (lambda n, _: n.perm_apply(p), 0)]
+        for u in all_subterms(fresh_copy(t)):
+            subs, want = u.subterms(), ref_subterms(u)
+            mapped = [(map_names(u, f, lambda v, d: False, j), ref_map_names(u, f, j)) for f, j in maps]
+            checks = {
+                "subterms": len(subs) == len(want) and all(map(operator.is_, subs, want)),
+                "free atoms": free_atoms(u) == ref_free_atoms(u),
+                "closure level": [u.lc_at(j) for j in range(6)] == [ref_lc_at(u, j) for j in range(6)],
+                "name_levels": all(name_levels(u, j) == ref_name_levels(u, j) for j in range(3)),
+                "term_lc": term_lc(u) == ref_term_lc(u),
+                "map_names": all(got == w and (got is u) == (w is u) for got, w in mapped),
+            }
+            out += [(name, u) for name, ok in checks.items() if not ok]
+    return out
+
+
+def test_the_derived_traversals_match_the_ladders() -> None:
+    assert ladder_disagreements(corpus()) == []
+
+
+def test_the_ladder_comparison_notices_a_binder_declared_away(monkeypatch) -> None:
+    terms = corpus()
+    monkeypatch.setattr(Res, "binds", 0)
+    found = {name for name, _ in ladder_disagreements(terms)}
+    assert found == {"closure level", "name_levels", "term_lc", "map_names"}
 
 
 def test_cached_facts_match_the_name_walk() -> None:
