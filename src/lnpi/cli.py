@@ -130,6 +130,15 @@ def _decoded(path: str, what: str, read):
         raise ParseError(f"{path} is not a {what}: {e}", 0) from e
 
 
+def _stepped(run, fuel: int):
+    """run(), with an enumeration that recurses past the interpreter's limit
+    reported as a syntax error, as a file nested too deeply is."""
+    try:
+        return run()
+    except RecursionError as e:
+        raise ParseError(f"the process is nested too deeply to step at fuel {fuel}", 0) from e
+
+
 def _names_json(symtab: Symtab) -> dict[str, int]:
     return {ident: atom.index for ident, atom in symtab.items()}
 
@@ -187,7 +196,7 @@ def cmd_lc(args) -> int:
 
 def cmd_step(args) -> int:
     cfg, symtab = _session(args)
-    result = step(cfg, args.fuel)
+    result = _stepped(lambda: step(cfg, args.fuel), args.fuel)
     if args.deriv:
         table: dict = {}  # what the derivations share is encoded once
         _write_json(args.deriv, [d.to_json(table) for _, d in result.results])
@@ -213,7 +222,7 @@ def cmd_trace(args) -> int:
     if not isinstance(listed, list) or not all(isinstance(x, str) for x in listed):
         raise ParseError(f"{args.actions} must hold a JSON list of action strings", 0)
     actions = [_parse_action(x, symtab) for x in listed]
-    return _report_trace(args, replay(cfg, actions, args.fuel), symtab)
+    return _report_trace(args, _stepped(lambda: replay(cfg, actions, args.fuel), args.fuel), symtab)
 
 
 def cmd_rename(args) -> int:

@@ -16,10 +16,10 @@ rule's premise count and whether it takes side data or a cofinite record,
 then the rule's case, which compares the node with its premises'
 conclusions.  ``check`` visits a node, then its premises, then, for a
 cofinite node, that node moved to each extra fresh witness: the same
-conclusion over premises with the two witnesses swapped, checked with no
-extra witnesses of its own.  A moved node skips the guards, which its
-original passed, but not the rule's case; the nodes under it are checked
-in full.  A failure under a moved node is reported at the cofinite node.
+conclusion over premises with the two witnesses swapped.  A moved copy is
+just another derivation, checked by a walk of its own with no extra
+witnesses, guards and all; a failure in it is reported at the cofinite
+node.
 
 The enumerator ``_derivs`` is a pure function of (environment, process,
 fuel, avoid set), and replication makes it meet the same arguments many
@@ -34,11 +34,12 @@ parents, and a file decoded through one table shares what it repeats (see
 ``lnpi.codec``).  The moving and checking keep that sharing and do the work
 once per distinct node, through tables that live for one call, are keyed
 by object identity and hold each keyed object, so no identity is reused
-while they live.  The mover, ``Derivation.perm_apply``, walks with an
-explicit stack and remembers each (node, permutation) it moved, so a
-shared premise is moved once and its copy is shared; ``step``'s
-canonicalisation, ``_moved`` and ``rename_trace`` move through it.  The
-checker remembers each (node, extra witnesses, guards skipped) that
+while they live.  One bottom-up walk, ``_rebuild``, visits each distinct
+node once, premises first: the mover ``Derivation.perm_apply``, weakening
+and ``Derivation.support`` all go through it.  The mover's table holds one
+dict per permutation, so a shared premise is moved once and its copy is
+shared; ``step``'s canonicalisation, ``_moved`` and ``rename_trace`` move
+through it.  The checker remembers each (node, extra witnesses) that
 passed and skips it, with its subtree, when met again.  ``check`` keeps
 that table for one derivation, ``check_each`` for all those it checks, so
 the CLI's ``check-deriv`` and ``rename_trace``, which check through it,
@@ -195,45 +196,32 @@ class Derivation(PermValue, Record):
     side: int | Atom | None = None  # Sum: entry index; Open: extruded atom, written {"atom": i}
 
     def perm_apply(self, p: Permutation, moves: dict | None = None) -> Derivation:
-        """p . self, built bottom-up with an explicit stack.  moves, the
-        mover's table, maps (id(x), p.pairs) to (x, p . x) for the nodes and
-        configurations moved so far; a caller that passes one table to
+        """p . self, built bottom-up by _rebuild.  moves, the mover's table,
+        maps p.pairs to a dict from id(x) to (x, p . x) for the nodes and
+        configurations moved by p so far; a caller that passes one table to
         several calls moves each shared node once and shares its copy."""
-        if moves is None:
-            moves = {}
-        pk = p.pairs  # equal permutations have equal pairs, hashed without a Python frame
-        todo = [self]
-        while todo:
-            d = todo[-1]
-            if (id(d), pk) in moves:
-                todo.pop()
-                continue
-            waiting = [q for q in d.premises if (id(q), pk) not in moves]
-            if waiting:  # moved before d is looked at again
-                todo += waiting
-                continue
-            todo.pop()
+        table = ({} if moves is None else moves).setdefault(p.pairs, {})
+
+        def node(d: Derivation, premises: tuple[Derivation, ...]) -> Derivation:
             t = d.conclusion
-            concl = Transition(_move(t.src, p, moves), t.action.perm_apply(p), _move(t.dst, p, moves))
-            premises = tuple(moves[id(q), pk][1] for q in d.premises)
+            concl = Transition(_move(t.src, p, table), t.action.perm_apply(p), _move(t.dst, p, table))
             cof = d.cofinite and d.cofinite.perm_apply(p)
             side = p(d.side) if isinstance(d.side, Atom) else d.side
-            moves[id(d), pk] = d, Derivation(d.rule, concl, premises, cof, side)
-        return moves[id(self), pk][1]
+            return Derivation(d.rule, concl, premises, cof, side)
+
+        return _rebuild(self, None, node, table)
 
     def support(self) -> NameSet:
-        # Kept to walk the tree once, with an explicit stack, not to union per
-        # node: the atoms of every node go into one set, its environments and
-        # avoid sets into one union_all.
+        # Kept to visit each distinct node once, not to union per node: the
+        # atoms of every node go into one set, its environments and avoid
+        # sets into one union_all.
         sets: list[NameSet] = []
         atoms: set[int] = set()
-        stack = [self]
-        while stack:
-            d = stack.pop()
+
+        def node(d: Derivation, premises) -> None:
             t = d.conclusion
-            sets += (t.src.env, t.dst.env)
-            atoms |= free_atoms(t.src.proc)
-            atoms |= free_atoms(t.dst.proc)
+            sets.extend((t.src.env, t.dst.env))
+            atoms.update(free_atoms(t.src.proc), free_atoms(t.dst.proc))
             if not isinstance(t.action, Tau):
                 atoms.update((t.action.chan.index, t.action.name.index))
             if d.cofinite:
@@ -241,16 +229,35 @@ class Derivation(PermValue, Record):
                 atoms.add(d.cofinite.witness.index)
             if isinstance(d.side, Atom):
                 atoms.add(d.side.index)
-            stack += d.premises
+
+        _rebuild(self, None, node, {})
         return union_all(NameSet(flips=frozenset(atoms)), *sets)
 
 
-def _move(x: PermValue, p: Permutation, moves: dict):
-    """p . x, looked up in or added to the mover's table (see Derivation.perm_apply)."""
-    key = (id(x), p.pairs)
-    found = moves.get(key)
+def _rebuild(d: Derivation, expand, node, table: dict):
+    """d's result: node(r, the results at r's premises) for each distinct
+    node q under d, premises first, with an explicit stack, where r is
+    expand(q), or q itself when expand is None.  table maps id(q) to (q, its
+    result); a node already in it is not visited again."""
+    todo = [(d, None)]
+    while todo:
+        q, r = todo.pop()
+        if id(q) in table:
+            continue
+        if r is None:  # first visit: the premises go above q, so they are built first
+            r = expand(q) if expand else q
+            todo.append((q, r))
+            todo += [(p, None) for p in r.premises]
+            continue
+        table[id(q)] = q, node(r, tuple(table[id(p)][1] for p in r.premises))
+    return table[id(d)][1]
+
+
+def _move(x: PermValue, p: Permutation, table: dict):
+    """p . x, looked up in or added to table, the mover's table for p (see Derivation.perm_apply)."""
+    found = table.get(id(x))
     if found is None:
-        found = moves[key] = x, x.perm_apply(p)
+        found = table[id(x)] = x, x.perm_apply(p)
     return found[1]
 
 
@@ -502,7 +509,6 @@ _SHAPES = {
     "Open": (1, True, False), "Comm-L": (2, False, False), "Comm-R": (2, False, False),
     "Close-L": (2, False, True), "Close-R": (2, False, True), "Rep": (1, False, False),
 }
-_MOVE = object()  # check's marker: move the cofinite node at this entry's path
 
 
 def check(d: Derivation, extra_witnesses: int = 0) -> None:
@@ -521,40 +527,36 @@ def check_each(derivs, extra_witnesses: int = 0):
         yield d
 
 
-def _walk(d: Derivation, extra_witnesses: int, done: dict, moves: dict) -> None:
-    # Entries are (node, extra witnesses, path, moved).  moved is None for
-    # the nodes of d, (path, w2) for a node moved to witness w2 and the
-    # nodes under it, and _MOVE for the cofinite node at path: that entry
-    # lies below its premises' entries, so it is reached once they passed.
-    # done, the success table, maps (id(node), extra, guards skipped)
-    # to the node once its own check passed; met again, it is skipped with
-    # its subtree.  That is sound because the stack is LIFO: the subtree is
-    # popped before anything pushed before the node, and a failure in it
-    # ends the walk.  moves is the mover's table (see Derivation.perm_apply).
-    todo = [(d, extra_witnesses, (), None)]
+def _walk(d: Derivation, extra_witnesses: int, done: dict, moves: dict, path: tuple[int, ...] = ()) -> None:
+    # Entries are (node, path, moving).  moving marks the entry of a
+    # cofinite node pushed below its premises' entries, so it is reached
+    # once they passed; its copies moved to each extra witness are then
+    # checked by a walk of their own, with no extra witnesses, so the
+    # nesting is one level deep.  done, the success table, maps
+    # (id(node), extra) to the node once its own check passed; met again,
+    # it is skipped with its subtree.  That is sound because the stack is
+    # LIFO: the subtree is popped before anything pushed before the node,
+    # and a failure in it ends the walk.  moves is the mover's table (see
+    # Derivation.perm_apply).
+    todo = [(d, path, False)]
     while todo:
-        d, extra, path, moved = todo.pop()
-        if moved is _MOVE:
-            witnesses = d.support().least_outside(extra)
-            todo += [(_moved(d, w2, moves), 0, path, (path, w2)) for w2 in reversed(witnesses)]
+        d, path, moving = todo.pop()
+        if moving:
+            for w2 in d.support().least_outside(extra_witnesses):
+                try:
+                    _walk(_moved(d, w2, moves), 0, done, moves, path)
+                except CheckError as e:
+                    _fail("FreshnessViolated", path, f"premises not re-derivable at witness {w2!r}: {e}")
             continue
-        # The guards are skipped at a moved node itself, not at the nodes under it.
-        skip = moved is not None and path == moved[0]
-        key = (id(d), extra, skip)
+        key = (id(d), extra_witnesses)
         if key in done:
             continue
-        try:
-            _check(d, path, skip)
-        except CheckError as e:
-            if moved is None:
-                raise
-            at, w2 = moved
-            _fail("FreshnessViolated", at, f"premises not re-derivable at witness {w2!r}: {e}")
+        _check(d, path)
         done[key] = d
-        if extra and d.cofinite:
-            todo.append((d, extra, path, _MOVE))
+        if extra_witnesses and d.cofinite:
+            todo.append((d, path, True))
         for i in range(len(d.premises) - 1, -1, -1):
-            todo.append((d.premises[i], extra, path + (i,), moved))
+            todo.append((d.premises[i], path + (i,), False))
 
 
 def _moved(d: Derivation, w2: Atom, moves: dict) -> Derivation:
@@ -585,37 +587,34 @@ def _occurs(w: Atom, t: Transition) -> bool:
             or w.index in free_atoms(t.src.proc) or w.index in free_atoms(t.dst.proc))
 
 
-def _check(d: Derivation, path: tuple[int, ...], moved: bool = False) -> None:
+def _check(d: Derivation, path: tuple[int, ...]) -> None:
     """Validate the node d against its rule; its premises are compared with
-    it but not checked themselves.  A moved node skips the guards: they
-    passed on the node it was moved from, which differs only in its premises
-    and in a witness picked outside its avoid set and its conclusion."""
+    it but not checked themselves."""
     t = d.conclusion
     w = d.cofinite and d.cofinite.witness
-    if not moved:
-        shape = _SHAPES.get(d.rule)
-        if shape is None:
-            _fail("RuleShape", path, f"unknown rule {d.rule!r}")
-        count, takes_side, takes_cofinite = shape
-        if d.side is not None and not takes_side:
-            _fail("RuleShape", path, f"rule {d.rule} takes no side data")
-        if d.cofinite is not None and not takes_cofinite:
-            _fail("RuleShape", path, f"rule {d.rule} takes no cofinite witness record")
-        _require_config(t.src, path, "source")
-        _require_config(t.dst, path, "destination")
-        if isinstance(t.action, BoundOutput) and t.action.chan == t.action.name:
-            _fail("RuleShape", path, "bound output must extrude a name other than its channel")
-        if len(d.premises) != count:
-            _fail("RuleShape", path, f"rule {d.rule} expects {count} premise(s), got {len(d.premises)}")
-        if takes_cofinite:
-            if d.cofinite is None:
-                _fail("RuleShape", path, f"rule {d.rule} needs a cofinite witness record")
-            if not d.cofinite.avoid.is_finite():
-                _fail("RuleShape", path, "the avoid set must be finite")
-            if d.cofinite.avoid.member(w):
-                _fail("WitnessInL", path, f"witness {w!r} lies in the avoid set")
-            if _occurs(w, t):
-                _fail("FreshnessViolated", path, f"witness {w!r} occurs in the conclusion")
+    shape = _SHAPES.get(d.rule)
+    if shape is None:
+        _fail("RuleShape", path, f"unknown rule {d.rule!r}")
+    count, takes_side, takes_cofinite = shape
+    if d.side is not None and not takes_side:
+        _fail("RuleShape", path, f"rule {d.rule} takes no side data")
+    if d.cofinite is not None and not takes_cofinite:
+        _fail("RuleShape", path, f"rule {d.rule} takes no cofinite witness record")
+    _require_config(t.src, path, "source")
+    _require_config(t.dst, path, "destination")
+    if isinstance(t.action, BoundOutput) and t.action.chan == t.action.name:
+        _fail("RuleShape", path, "bound output must extrude a name other than its channel")
+    if len(d.premises) != count:
+        _fail("RuleShape", path, f"rule {d.rule} expects {count} premise(s), got {len(d.premises)}")
+    if takes_cofinite:
+        if d.cofinite is None:
+            _fail("RuleShape", path, f"rule {d.rule} needs a cofinite witness record")
+        if not d.cofinite.avoid.is_finite():
+            _fail("RuleShape", path, "the avoid set must be finite")
+        if d.cofinite.avoid.member(w):
+            _fail("WitnessInL", path, f"witness {w!r} lies in the avoid set")
+        if _occurs(w, t):
+            _fail("FreshnessViolated", path, f"witness {w!r} occurs in the conclusion")
     env, proc = t.src.env, t.src.proc
 
     match d.rule:
@@ -781,32 +780,25 @@ def weaken(d: Derivation, extra_env: NameSet, extra_witnesses: int = 1) -> Deriv
 
 
 def _weaken(d: Derivation, xe: NameSet) -> Derivation:
-    # Bottom-up with an explicit stack, each distinct node once: out maps
-    # id(node) to (node, its weakened copy), so shared premises stay shared.
+    # Each distinct node once, by _rebuild, so shared premises stay shared.
     # A node whose witness clashes with xe is first re-witnessed by _moved,
     # and its moved premises are weakened in turn.
-    out: dict = {}
     moves: dict = {}
-    todo = [(d, None)]
-    while todo:
-        q, r = todo.pop()
-        if id(q) in out:
-            continue
-        if r is None:  # first visit: re-witness, then weaken the premises first
-            r = q
-            if q.cofinite and xe.member(q.cofinite.witness):
-                r = _moved(q, fresh(q.support().union(xe)), moves)
-            todo.append((q, r))
-            todo += [(p, None) for p in r.premises]
-            continue
+
+    def rewitnessed(q: Derivation) -> Derivation:
+        if q.cofinite and xe.member(q.cofinite.witness):
+            return _moved(q, fresh(q.support().union(xe)), moves)
+        return q
+
+    def node(r: Derivation, premises: tuple[Derivation, ...]) -> Derivation:
         t = r.conclusion
         concl = Transition(
             Config(t.src.env.union(xe), t.src.proc), t.action, Config(t.dst.env.union(xe), t.dst.proc)
         )
         cof = Cofinite(r.cofinite.avoid.union(xe), r.cofinite.witness) if r.cofinite else None
-        premises = tuple(out[id(p)][1] for p in r.premises)
-        out[id(q)] = q, Derivation(r.rule, concl, premises, cof, r.side)
-    return out[id(d)][1]
+        return Derivation(r.rule, concl, premises, cof, r.side)
+
+    return _rebuild(d, rewitnessed, node, {})
 
 
 # ------------- traces -------------
@@ -863,9 +855,9 @@ def rename_trace(t: Trace, n: Atom, m: Atom, extra_witnesses: int = 1) -> Trace:
         raise NotFreshAtStart(f"{n!r} and {m!r} must both be fresh for the start configuration")
     sw = swap(n, m)
     # One mover's table and one check_each: what the steps share is moved and checked once.
-    moves: dict = {}
-    steps = tuple(TraceStep(s.action.perm_apply(sw), _move(s.config, sw, moves), s.deriv.perm_apply(sw, moves))
-                  for s in t.steps)
+    moves: dict = {sw.pairs: {}}
+    steps = tuple(TraceStep(s.action.perm_apply(sw), _move(s.config, sw, moves[sw.pairs]),
+                            s.deriv.perm_apply(sw, moves)) for s in t.steps)
     for _ in check_each([s.deriv for s in steps], extra_witnesses):
         pass
     return Trace(t.start, steps)

@@ -28,10 +28,6 @@ class AllNamesAvoided(Exception):
     """fresh() was asked to avoid every atom."""
 
 
-class Exhausted(Exception):
-    """pick_outside() found nothing: the set minus the avoided atoms is empty."""
-
-
 def _min_modulus(modulus: int, residues: frozenset[int]) -> tuple[int, frozenset[int]]:
     # Smallest divisor d of modulus whose classes the residues are a union of.
     for d in range(1, modulus + 1):
@@ -140,13 +136,6 @@ class NameSet:
         if not self.is_finite():
             raise ValueError("atoms() requires a finite set")
         return tuple(Atom(a) for a in sorted(self.flips))
-
-    def pick_outside(self, avoid: NameSet) -> Atom:
-        """Least member of self not in avoid."""
-        rest = self.difference(avoid)
-        if rest.is_empty():
-            raise Exhausted("no atom of the set lies outside the avoided one")
-        return rest.enumerate(1)[0]
 
     # ------------- boolean algebra -------------
 

@@ -326,8 +326,9 @@ def map_names(t: Term, f: Callable[[Name, int], Name], keep: Callable[[Term, int
         elif kind is _TERM:
             y = map_names(x, f, keep, j)
         else:
-            parts = [map_names(s, f, keep, j) for s in x.parts()]
-            y = x if all(map(operator.is_, parts, x.parts())) else IndexedFamily(tuple(parts[:-1]), parts[-1])
+            old = x.parts()
+            parts = [map_names(s, f, keep, j) for s in old]
+            y = x if all(map(operator.is_, parts, old)) else IndexedFamily(tuple(parts[:-1]), parts[-1])
         vals.append(y)
         changed = changed or y is not x
     return type(t)(*vals) if changed else t

@@ -132,6 +132,16 @@ def test_step_on_a_500_prefix_chain(capsys) -> None:
     assert out == f"<{{c}}; {chain}>\n  c!c => <{{c}}; {'c!c. ' * 499}0> [Out]\n"
 
 
+@pytest.mark.parametrize("fuel, proc", [("250", "*(c!c.0)"), ("1", " | ".join(["c!c.0"] * 330))])
+def test_stepping_past_the_recursion_limit_is_a_syntax_error(capsys, tmp_path, fuel, proc) -> None:
+    # _derivs recurses per unfolding and per Par; its depth limit is reported
+    # as a file's is, with no traceback.
+    want = (1, "", f"syntax error: the process is nested too deeply to step at fuel {fuel} (at position 0)\n")
+    assert run(capsys, "step", "-e", "c", "--fuel", fuel, proc) == want
+    actions = write_actions(tmp_path, ["c!c"])
+    assert run(capsys, "trace", "-e", "c", "--fuel", fuel, proc, actions) == want
+
+
 # ------------- derivation files and check-deriv -------------
 
 

@@ -334,6 +334,9 @@ def test_support_walk_matches_the_recursive_union(monkeypatch) -> None:
     wide = Derivation(d.rule, Transition(Config(NameSet.periodic(2, [1]), t.src.proc), t.action, t.dst),
                       d.premises, d.cofinite, d.side)
     assert wide.support() == recursive_support(wide)
+    # Two premises that are one object: the node under them counts once.
+    twice = Derivation("Comm-L", d.conclusion, (moved, moved))
+    assert twice.support() == recursive_support(twice)
 
 
 def relabelled(d: Derivation, fresh_atoms) -> Derivation:
@@ -1063,6 +1066,18 @@ def test_moving_a_cofinite_node_permutes_it_whole() -> None:
     assert moves > 400
 
 
+def test_moved_copies_pass_the_guards_too(monkeypatch) -> None:
+    # The checker checks a moved copy in full, guards included: they pass,
+    # since the new witness lies outside the node's support, which holds its
+    # avoid set and every atom of its conclusion.
+    corpus = lemma_configs_at_fuel_2(monkeypatch) + [(ROADMAP_PROCESS, 6), (SERVER, 6)]
+    nodes = {id(q): q for cfg, fuel in corpus for _, d in step(cfg, fuel).results for q in walk(d) if q.cofinite}
+    assert {"Res", "Close-L", "Close-R"} <= {q.rule for q in nodes.values()}
+    for q in nodes.values():
+        for w2 in q.support().least_outside(3):
+            lts._check(lts._moved(q, w2, {}), ())
+
+
 # ------------- the share-aware walk -------------
 
 
@@ -1085,17 +1100,17 @@ class ValueKeys:
 
 
 def checked_nodes(monkeypatch, run, keys: ValueKeys) -> tuple[set, int]:
-    """The distinct (node value, guards skipped) pairs run() hands to _check,
-    as (canonical node id, flag), and the number of _check calls it makes."""
+    """The distinct node values run() hands to _check, as canonical node
+    ids, and the number of _check calls it makes."""
     seen = set()
     calls = 0
     real = lts._check
 
-    def recording(d, path, moved=False):
+    def recording(d, path):
         nonlocal calls
         calls += 1
-        seen.add((id(keys(d)), moved))
-        real(d, path, moved)
+        seen.add(id(keys(d)))
+        real(d, path)
 
     with monkeypatch.context() as m:
         m.setattr(lts, "_check", recording)
@@ -1175,7 +1190,7 @@ def test_the_mover_keeps_sharing_and_moves_each_node_once() -> None:
     assert out == ref_derivation_perm(twice, sw)
     assert out.premises[0] is out.premises[1]
     assert d.perm_apply(sw, moves) is out.premises[0]
-    assert len([k for k in moves if k[0] in (id(d), id(twice))]) == 2
+    assert len([k for k in moves[sw.pairs] if k in (id(d), id(twice))]) == 2
 
 
 # ------------- weakening -------------
@@ -1253,6 +1268,13 @@ def test_weaken_walk_matches_the_recursive_one(monkeypatch) -> None:
             assert lts._weaken(d, xe) == ref_weaken(d, xe), (d, xe)
         clashes += bool(witnesses)
     assert clashes > 100
+    # Two premises that are one object stay one object.
+    d = res_example()
+    twice = Derivation("Comm-L", d.conclusion, (d, d))
+    for xe in [fin(11), NameSet.finite([d.cofinite.witness])]:
+        out = lts._weaken(twice, xe)
+        assert out == ref_weaken(twice, xe)
+        assert out.premises[0] is out.premises[1]
 
 
 def test_weaken_keeps_shared_premises_shared() -> None:

@@ -9,7 +9,6 @@ from lnpi.gen import rand_finite_nameset, rand_nameset
 from lnpi.namesets import (
     MAX_JSON_MODULUS,
     AllNamesAvoided,
-    Exhausted,
     NameSet,
     fresh,
     supp_of_set,
@@ -109,17 +108,6 @@ def test_atoms_requires_a_finite_set() -> None:
     assert NameSet.finite([a[3], a[1]]).atoms() == (a[1], a[3])
     with pytest.raises(ValueError):
         ODD.atoms()
-
-
-def test_pick_outside_takes_least_unavoided_member() -> None:
-    s = NameSet.finite([a[0], a[1], a[2]])
-    assert s.pick_outside(NameSet.finite([a[0], a[1]])) == a[2]
-
-
-def test_pick_outside_exhausted() -> None:
-    s = NameSet.finite([a[0]])
-    with pytest.raises(Exhausted):
-        s.pick_outside(NameSet.finite([a[0]]))
 
 
 def test_fresh_picks_least_atom_outside() -> None:
