@@ -105,9 +105,9 @@ def _emit_json(data) -> None:
     print(_json_text(data))
 
 
-def _write_json(path: str, data) -> None:
+def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_json_text(data))
+        fh.write(text)
 
 
 def _load_json(path: str):
@@ -196,10 +196,14 @@ def cmd_lc(args) -> int:
 
 def cmd_step(args) -> int:
     cfg, symtab = _session(args)
-    result = _stepped(lambda: step(cfg, args.fuel), args.fuel)
+
+    def run():  # the derivations are as deep as the enumeration went: encode them under its report
+        result, table = step(cfg, args.fuel), {}  # one table: what the derivations share is encoded once
+        return result, args.deriv and _json_text([d.to_json(table) for _, d in result.results])
+
+    result, text = _stepped(run, args.fuel)
     if args.deriv:
-        table: dict = {}  # what the derivations share is encoded once
-        _write_json(args.deriv, [d.to_json(table) for _, d in result.results])
+        _write_text(args.deriv, text)
     if args.json:
         _emit_json(
             {
@@ -254,7 +258,7 @@ def _report_trace(args, trace: Trace, symtab: Symtab) -> int:
         data = trace.to_json()
         data["names"] = _names_json(symtab)
         if args.deriv:
-            _write_json(args.deriv, data)
+            _write_text(args.deriv, _json_text(data))
         if args.json:
             _emit_json(data)
             return 0

@@ -31,20 +31,15 @@ later step would find little of an earlier one's table.
 
 Derivations share sub-derivations: the memo hands one premise to many
 parents, and a file decoded through one table shares what it repeats (see
-``lnpi.codec``).  The moving and checking keep that sharing and do the work
-once per distinct node, through tables that live for one call, are keyed
-by object identity and hold each keyed object, so no identity is reused
-while they live.  One bottom-up walk, ``_rebuild``, visits each distinct
-node once, premises first: the mover ``Derivation.perm_apply``, weakening
-and ``Derivation.support`` all go through it.  The mover's table holds one
-dict per permutation, so a shared premise is moved once and its copy is
-shared; ``step``'s canonicalisation, ``_moved`` and ``rename_trace`` move
-through it.  The checker remembers each (node, extra witnesses) that
-passed and skips it, with its subtree, when met again.  ``check`` keeps
-that table for one derivation, ``check_each`` for all those it checks, so
-the CLI's ``check-deriv`` and ``rename_trace``, which check through it,
-check a node the derivations share once.  No table outlives the call that
-made it, so importing the module keeps no cache state.
+``lnpi.codec``).  Every record is a ``PermValue``, so the walks of
+``lnpi.permtypes`` move and support a derivation, visiting each distinct
+part once; a caller that moves several keeps one ``apply`` table per
+permutation, so a shared premise is moved once and its copy is shared.
+Weakening walks each distinct node once too.  The checker skips a (node,
+extra witnesses) that passed before, with its subtree: ``check`` keeps that
+table for one derivation, ``check_each`` for all those it checks.  Every
+table lives for one call, is keyed by identity and holds what it keys, so
+importing the module keeps no cache state.
 """
 
 from __future__ import annotations
@@ -56,7 +51,7 @@ from itertools import groupby
 from .atoms import Atom, Permutation, is_natural, swap
 from .codec import Record
 from .namesets import NameSet, fresh, union_all
-from .permtypes import PermValue, is_fresh
+from .permtypes import PermValue, apply, is_fresh
 from .pisyntax import (
     Bound,
     Free,
@@ -162,6 +157,8 @@ class Config(PermValue, Record):
 
     def support(self) -> NameSet:
         # The environment itself, not its support: they differ on infinite sets.
+        if self.env.is_finite():  # its members are its flips: one set is built
+            return NameSet(flips=self.env.flips | free_atoms(self.proc))
         return self.env.union(free_names(self.proc))
 
 
@@ -194,71 +191,6 @@ class Derivation(PermValue, Record):
     premises: tuple[Derivation, ...] = ()
     cofinite: Cofinite | None = None
     side: int | Atom | None = None  # Sum: entry index; Open: extruded atom, written {"atom": i}
-
-    def perm_apply(self, p: Permutation, moves: dict | None = None) -> Derivation:
-        """p . self, built bottom-up by _rebuild.  moves, the mover's table,
-        maps p.pairs to a dict from id(x) to (x, p . x) for the nodes and
-        configurations moved by p so far; a caller that passes one table to
-        several calls moves each shared node once and shares its copy."""
-        table = ({} if moves is None else moves).setdefault(p.pairs, {})
-
-        def node(d: Derivation, premises: tuple[Derivation, ...]) -> Derivation:
-            t = d.conclusion
-            concl = Transition(_move(t.src, p, table), t.action.perm_apply(p), _move(t.dst, p, table))
-            cof = d.cofinite and d.cofinite.perm_apply(p)
-            side = p(d.side) if isinstance(d.side, Atom) else d.side
-            return Derivation(d.rule, concl, premises, cof, side)
-
-        return _rebuild(self, None, node, table)
-
-    def support(self) -> NameSet:
-        # Kept to visit each distinct node once, not to union per node: the
-        # atoms of every node go into one set, its environments and avoid
-        # sets into one union_all.
-        sets: list[NameSet] = []
-        atoms: set[int] = set()
-
-        def node(d: Derivation, premises) -> None:
-            t = d.conclusion
-            sets.extend((t.src.env, t.dst.env))
-            atoms.update(free_atoms(t.src.proc), free_atoms(t.dst.proc))
-            if not isinstance(t.action, Tau):
-                atoms.update((t.action.chan.index, t.action.name.index))
-            if d.cofinite:
-                sets.append(d.cofinite.avoid)
-                atoms.add(d.cofinite.witness.index)
-            if isinstance(d.side, Atom):
-                atoms.add(d.side.index)
-
-        _rebuild(self, None, node, {})
-        return union_all(NameSet(flips=frozenset(atoms)), *sets)
-
-
-def _rebuild(d: Derivation, expand, node, table: dict):
-    """d's result: node(r, the results at r's premises) for each distinct
-    node q under d, premises first, with an explicit stack, where r is
-    expand(q), or q itself when expand is None.  table maps id(q) to (q, its
-    result); a node already in it is not visited again."""
-    todo = [(d, None)]
-    while todo:
-        q, r = todo.pop()
-        if id(q) in table:
-            continue
-        if r is None:  # first visit: the premises go above q, so they are built first
-            r = expand(q) if expand else q
-            todo.append((q, r))
-            todo += [(p, None) for p in r.premises]
-            continue
-        table[id(q)] = q, node(r, tuple(table[id(p)][1] for p in r.premises))
-    return table[id(d)][1]
-
-
-def _move(x: PermValue, p: Permutation, table: dict):
-    """p . x, looked up in or added to table, the mover's table for p (see Derivation.perm_apply)."""
-    found = table.get(id(x))
-    if found is None:
-        found = table[id(x)] = x, x.perm_apply(p)
-    return found[1]
 
 
 @dataclass(frozen=True)
@@ -301,7 +233,7 @@ def _step(cfg: Config, fuel: int, memo: dict) -> StepResult:
         raise IllFormedConfig("process must be locally closed")
     derivs, complete = _derivs(cfg.env, cfg.proc, fuel, NameSet.empty(), memo=memo)
     base = cfg.support()
-    moves: dict = {}  # one mover's table: premises the memo shares stay shared
+    moves: dict = {}  # apply's tables: premises the memo shares stay shared
     canon = [_canonicalize(d, base, moves) for d in derivs]
     keyed = sorted((((d.rule, t.key()), (t, d)) for t, d in canon), key=lambda kp: kp[0])
     # Order by (rule, transition), then by the derivation's JSON; ties on the
@@ -456,18 +388,12 @@ def _res_derivs(env, proc, body, fuel, avoid, memo):
 
 
 def _visible_fresh(t: Transition, base: NameSet) -> list[Atom]:
-    seen: list[Atom] = []
-    order = []
-    a = t.action
-    if not isinstance(a, Tau):
-        order += [a.chan, a.name]
-    order += term_atom_list(t.dst.proc)
-    if t.dst.env.is_finite():
-        order += list(t.dst.env.atoms())
-    for x in order:
-        if not base.member(x) and x not in seen:
-            seen.append(x)
-    return seen
+    """The atoms outside base in t's action, then its destination's process
+    and finite environment, each at its first appearance."""
+    a, dst = t.action, t.dst
+    order = ([] if isinstance(a, Tau) else [a.chan, a.name]) + term_atom_list(dst.proc)
+    order += dst.env.atoms() if dst.env.is_finite() else ()
+    return list(dict.fromkeys(x for x in order if not base.member(x)))
 
 
 def _renaming(t: Transition, base: NameSet) -> Permutation | None:
@@ -494,7 +420,7 @@ def normalize_transition(t: Transition) -> Transition:
 def _canonicalize(d: Derivation, base: NameSet, moves: dict) -> tuple[Transition, Derivation]:
     p = _renaming(d.conclusion, base)
     if p is not None:
-        d = d.perm_apply(p, moves)
+        d = apply(p, d, moves.setdefault(p.pairs, {}))
     return d.conclusion, d
 
 
@@ -518,8 +444,8 @@ def check(d: Derivation, extra_witnesses: int = 0) -> None:
 
 def check_each(derivs, extra_witnesses: int = 0):
     """Yield each derivation once it passed check, in order.  One success
-    table and one mover's table serve them all, so a sub-derivation they
-    share is moved and checked once."""
+    table and one set of apply's tables serve them all, so a sub-derivation
+    they share is moved and checked once."""
     done: dict = {}
     moves: dict = {}
     for d in derivs:
@@ -536,8 +462,8 @@ def _walk(d: Derivation, extra_witnesses: int, done: dict, moves: dict, path: tu
     # (id(node), extra) to the node once its own check passed; met again,
     # it is skipped with its subtree.  That is sound because the stack is
     # LIFO: the subtree is popped before anything pushed before the node,
-    # and a failure in it ends the walk.  moves is the mover's table (see
-    # Derivation.perm_apply).
+    # and a failure in it ends the walk.  moves holds apply's tables (see
+    # _moved).
     todo = [(d, path, False)]
     while todo:
         d, path, moving = todo.pop()
@@ -561,10 +487,10 @@ def _walk(d: Derivation, extra_witnesses: int, done: dict, moves: dict, path: tu
 
 def _moved(d: Derivation, w2: Atom, moves: dict) -> Derivation:
     """d re-derived at witness w2: the same conclusion, for which both
-    witnesses are fresh, over the premises with the witnesses swapped by
-    the mover, through its table moves (see Derivation.perm_apply)."""
+    witnesses are fresh, over the premises with the witnesses swapped.
+    moves maps each permutation's pairs to apply's table for it."""
     sw = swap(d.cofinite.witness, w2)
-    return Derivation(d.rule, d.conclusion, tuple(q.perm_apply(sw, moves) for q in d.premises),
+    return Derivation(d.rule, d.conclusion, apply(sw, d.premises, moves.setdefault(sw.pairs, {})),
                       Cofinite(d.cofinite.avoid, w2), d.side)
 
 
@@ -780,25 +706,29 @@ def weaken(d: Derivation, extra_env: NameSet, extra_witnesses: int = 1) -> Deriv
 
 
 def _weaken(d: Derivation, xe: NameSet) -> Derivation:
-    # Each distinct node once, by _rebuild, so shared premises stay shared.
-    # A node whose witness clashes with xe is first re-witnessed by _moved,
-    # and its moved premises are weakened in turn.
-    moves: dict = {}
-
-    def rewitnessed(q: Derivation) -> Derivation:
-        if q.cofinite and xe.member(q.cofinite.witness):
-            return _moved(q, fresh(q.support().union(xe)), moves)
-        return q
-
-    def node(r: Derivation, premises: tuple[Derivation, ...]) -> Derivation:
+    # Each distinct node once, premises first, with an explicit stack: done
+    # maps id(q) to (q, q weakened), so shared premises stay shared.  A node
+    # whose witness clashes with xe is re-witnessed by _moved first.
+    moves: dict = {}  # apply's tables for _moved
+    done: dict = {}
+    todo = [(d, None)]
+    while todo:
+        q, r = todo.pop()
+        if id(q) in done:
+            continue
+        if r is None:  # first visit: the premises go above q, so they are weakened first
+            r = q
+            if q.cofinite and xe.member(q.cofinite.witness):
+                r = _moved(q, fresh(q.support().union(xe)), moves)
+            todo.append((q, r))
+            todo += [(p, None) for p in r.premises]
+            continue
         t = r.conclusion
-        concl = Transition(
-            Config(t.src.env.union(xe), t.src.proc), t.action, Config(t.dst.env.union(xe), t.dst.proc)
-        )
+        concl = Transition(Config(t.src.env.union(xe), t.src.proc), t.action,
+                           Config(t.dst.env.union(xe), t.dst.proc))
         cof = Cofinite(r.cofinite.avoid.union(xe), r.cofinite.witness) if r.cofinite else None
-        return Derivation(r.rule, concl, premises, cof, r.side)
-
-    return _rebuild(d, rewitnessed, node, {})
+        done[id(q)] = q, Derivation(r.rule, concl, tuple(done[id(p)][1] for p in r.premises), cof, r.side)
+    return done[id(d)][1]
 
 
 # ------------- traces -------------
@@ -825,7 +755,7 @@ def replay(start: Config, actions: list[Action], fuel: int = 8) -> Trace:
                     a = t.action
                     if type(a) is type(want) and a.chan == want.chan and not base.member(a.name):
                         sw = swap(a.name, want.name)
-                        t2, dv2 = t.perm_apply(sw), dv.perm_apply(sw)
+                        t2, dv2 = apply(sw, (t, dv))
                         if t2.action == want and t2.src == cfg:
                             cands.append((t2, dv2))
         if not cands:
@@ -853,11 +783,8 @@ def rename_trace(t: Trace, n: Atom, m: Atom, extra_witnesses: int = 1) -> Trace:
     base = t.start.support()
     if base.member(n) or base.member(m):
         raise NotFreshAtStart(f"{n!r} and {m!r} must both be fresh for the start configuration")
-    sw = swap(n, m)
-    # One mover's table and one check_each: what the steps share is moved and checked once.
-    moves: dict = {sw.pairs: {}}
-    steps = tuple(TraceStep(s.action.perm_apply(sw), _move(s.config, sw, moves[sw.pairs]),
-                            s.deriv.perm_apply(sw, moves)) for s in t.steps)
+    # One apply and one check_each: what the steps share is moved and checked once.
+    steps = apply(swap(n, m), t.steps)
     for _ in check_each([s.deriv for s in steps], extra_witnesses):
         pass
     return Trace(t.start, steps)

@@ -2,21 +2,26 @@
 
 Only the leaves (atoms, permutations, name sets, names, terms) implement
 ``perm_apply``/``support`` themselves.  A composite is a frozen dataclass
-deriving from ``PermValue``, which defines its permutation action and its
-support pointwise over the fields named in ``__match_args__``: the generic
-definition of the Nominal approach, written once.  Tuples, lists and
-frozensets are containers with the same pointwise structure;
-``components`` lists the parts of any container and ``map_components``
-rebuilds one from mapped parts, which is all ``lnpi.binding`` needs to
-open, close and decide local closure of a composite.  The module-level
-``apply``/``supp`` give atoms-free primitives (ints, strings, booleans,
-None) the trivial action with empty support.
+deriving from ``PermValue``, acted on and supported pointwise over the
+fields named in ``__match_args__``: the generic definition of the Nominal
+approach, written once.  Tuples, lists and frozensets are containers with
+the same pointwise structure; primitives (ints, strings, booleans, None)
+carry the trivial action with empty support.  ``apply`` and ``supp`` are
+each one walk with an explicit stack over a value's distinct parts, so
+depth costs them no frames and a shared part is visited once; a walk stops
+at a leaf and at a composite with the method of its own, which therefore
+must not call ``PermValue``'s (``Config`` and ``Cofinite`` support
+themselves by their sets).  ``apply``'s table maps ``id(x)`` to
+``(x, p . x)``, holding each part it keys, so no identity is reused while
+it lives; one table passed to several calls with one permutation moves
+what they share once and shares the copy.  ``components`` and
+``map_components`` list and rebuild a container's parts, which is all
+``lnpi.binding`` needs to open, close and decide local closure of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any, Callable, Iterable
 
 from .atoms import Atom, Permutation
@@ -31,16 +36,10 @@ class PermValue:
     permutation values, acted on and supported pointwise."""
 
     def perm_apply(self, p: Permutation) -> Any:
-        return map_components(partial(apply, p), self)
+        return apply(p, self)
 
     def support(self) -> NameSet:
-        # The atom components go into one finite set, not one set each.
-        parts = components(self)
-        sets = [supp(x) for x in parts if type(x) is not Atom]
-        atoms = [x for x in parts if type(x) is Atom]
-        if atoms:
-            sets.append(NameSet.finite(atoms))
-        return sets[0] if len(sets) == 1 else union_all(*sets)
+        return supp(self)
 
 
 def components(t) -> list | tuple | frozenset:
@@ -60,21 +59,84 @@ def map_components(f: Callable, t):
     return type(t)(map(f, components(t)))
 
 
-def apply(p: Permutation, t):
-    """p . t for any permutation value."""
-    if isinstance(t, _TRIVIAL):
-        return t
-    if hasattr(t, "perm_apply"):
-        return t.perm_apply(p)
-    return map_components(partial(apply, p), t)
+# Shapes besides None (a primitive) and field names (a PermValue): a leaf, a
+# container, an atom (supp adds its index).  _BUILD: a part's parts are moved.
+_LEAF, _ITEMS, _ATOM, _BUILD = object(), object(), object(), object()
+
+
+class _Shapes(dict):
+    """Each class's shape for the walk by the method named, found when first met."""
+
+    def __init__(self, method: str):
+        self.method = method
+
+    def __missing__(self, cls: type):
+        if issubclass(cls, _TRIVIAL):
+            shape = None
+        elif issubclass(cls, PermValue) and getattr(cls, self.method) is getattr(PermValue, self.method):
+            shape = cls.__match_args__
+        elif cls in _CONTAINERS:
+            shape = _ITEMS
+        elif hasattr(cls, self.method):
+            shape = _LEAF
+        else:
+            raise TypeError(f"no pointwise structure on {cls.__name__}")
+        self[cls] = shape
+        return shape
+
+
+_APPLY = _Shapes("perm_apply")
+_SUPP = _Shapes("support")
+_SUPP[Atom] = _ATOM
+
+
+def apply(p: Permutation, t, table: dict | None = None):
+    """p . t for any permutation value, each distinct part moved once, its
+    parts first.  table maps id(x) to (x, p . x) for each part x moved so
+    far; one passed to several calls with p serves them all."""
+    table = {} if table is None else table
+    todo = [t]
+    while todo:
+        x = todo.pop()
+        if x is _BUILD:  # below it: the parts of the value below them, all moved
+            parts, x = todo.pop(), todo.pop()
+            moved = [table[id(y)][1] for y in parts]
+            table[id(x)] = x, type(x)(moved) if _APPLY[type(x)] is _ITEMS else type(x)(*moved)
+        elif id(x) not in table:
+            shape = _APPLY[type(x)]
+            if shape is None:
+                table[id(x)] = x, x
+            elif shape is _LEAF:
+                table[id(x)] = x, x.perm_apply(p)
+            else:
+                parts = x if shape is _ITEMS else [*map(x.__getattribute__, shape)]
+                todo += (x, parts, _BUILD)
+                todo += parts
+    return table[id(t)][1]
 
 
 def supp(t) -> NameSet:
-    if isinstance(t, _TRIVIAL):
-        return NameSet.empty()
-    if hasattr(t, "support"):
-        return t.support()
-    return union_all(*map(supp, components(t)))
+    """The support of any permutation value, each distinct part visited once."""
+    atoms: set[int] = set()
+    sets: list[NameSet] = []
+    seen: set[int] = set()  # ids of parts of t, which holds them all while it runs
+    todo = [t]
+    while todo:
+        x = todo.pop()
+        shape = _SUPP[type(x)]
+        if shape is _ATOM:
+            atoms.add(x.index)
+        elif shape is not None and id(x) not in seen:
+            seen.add(id(x))
+            if shape is _LEAF:
+                s = x.support()
+                if s.residues:
+                    sets.append(s)
+                else:
+                    atoms.update(s.flips)
+            else:
+                todo += x if shape is _ITEMS else map(x.__getattribute__, shape)
+    return union_all(NameSet(flips=frozenset(atoms)), *sets)
 
 
 def is_fresh(a: Atom, t) -> bool:

@@ -37,7 +37,8 @@ line each over ``map_names``, with the per-name cases as methods of
 
 Two local-closure deciders are exposed: ``Term.lc_at`` compares the level
 with the least one at which the term is closed, ``term_lc`` follows the
-inductive definition, opening each binder body with fresh witnesses.  They
+inductive definition, opening each binder body with fresh witnesses and
+recursing into one opening, in time linear in depth times size.  They
 agree (tested property).  ``name_levels`` and ``term_lc`` walk with an
 explicit stack; ``map_names`` recurses.
 """
@@ -49,7 +50,7 @@ import typing
 from dataclasses import dataclass
 from typing import Callable
 
-from .atoms import Atom, Permutation
+from .atoms import Atom, Permutation, swap
 from .codec import Record
 from .namesets import NameSet
 from .permtypes import IndexedFamily
@@ -368,14 +369,19 @@ LC_EXTRA_WITNESSES = 3
 def term_lc(t: Term) -> bool:
     """Local closure by the inductive definition: every name outside the
     binders is free, and every binder body must be locally closed once
-    opened with any sufficiently fresh atom."""
+    opened with any sufficiently fresh atom.  Local closure is equivariant
+    (Pitts, *Nominal Sets*, CUP 2013), so only the opening at the least
+    fresh w0 is walked; each other is checked to be its image under (w0 w)."""
     todo = [t]
     while todo:
         for x, d in _parts(todo.pop(), 0):
             if type(x) is Bound:
                 return False
             if d:  # a binder body, opened at level 0
-                todo += [x.open_at(0, w) for w in free_names(x).least_outside(1 + LC_EXTRA_WITNESSES)]
+                w0, *extra = free_names(x).least_outside(1 + LC_EXTRA_WITNESSES)
+                todo.append(opened := x.open_at(0, w0))
+                if any(x.open_at(0, w) != opened.perm_apply(swap(w0, w)) for w in extra):
+                    return False
             elif isinstance(x, Term):
                 todo.append(x)
     return True

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -71,6 +72,15 @@ def test_fmt_and_lc_on_a_ten_thousand_component_parallel(capsys, command) -> Non
     assert run(capsys, command, " | ".join(["c!c.0"] * n)) == (0, printed + "\n", "")
 
 
+def test_lc_on_30_nested_binders(capsys) -> None:
+    # term_lc walks one opening of each binder body and checks the others by
+    # equivariance: walking into all four would take time 4^30.
+    nested = "".join(f"new x{i}. " for i in range(30)) + " | ".join(f"x{i}!x0.0" for i in range(30))
+    start = time.perf_counter()
+    assert run(capsys, "lc", nested) == (0, "true\n", "")
+    assert time.perf_counter() - start < 0.5
+
+
 # ------------- step -------------
 
 
@@ -132,14 +142,22 @@ def test_step_on_a_500_prefix_chain(capsys) -> None:
     assert out == f"<{{c}}; {chain}>\n  c!c => <{{c}}; {'c!c. ' * 499}0> [Out]\n"
 
 
-@pytest.mark.parametrize("fuel, proc", [("250", "*(c!c.0)"), ("1", " | ".join(["c!c.0"] * 330))])
-def test_stepping_past_the_recursion_limit_is_a_syntax_error(capsys, tmp_path, fuel, proc) -> None:
-    # _derivs recurses per unfolding and per Par; its depth limit is reported
-    # as a file's is, with no traceback.
+DEEP = [("250", "*(c!c.0)", False), ("1", " | ".join(["c!c.0"] * 330), False), ("165", "*(c!c.0)", True)]
+
+
+@pytest.mark.parametrize("fuel, proc, deriv", DEEP, ids=[f"{f}-{p}" + "-deriv" * d for f, p, d in DEEP])
+def test_stepping_past_the_recursion_limit_is_a_syntax_error(capsys, tmp_path, fuel, proc, deriv) -> None:
+    # _derivs recurses per unfolding and per Par, and the encoder per record;
+    # their depth limits are reported as a file's is, with no traceback.  At
+    # fuel 165 only encoding the derivations passes the limit, and no file is
+    # written.
     want = (1, "", f"syntax error: the process is nested too deeply to step at fuel {fuel} (at position 0)\n")
-    assert run(capsys, "step", "-e", "c", "--fuel", fuel, proc) == want
-    actions = write_actions(tmp_path, ["c!c"])
-    assert run(capsys, "trace", "-e", "c", "--fuel", fuel, proc, actions) == want
+    out = tmp_path / "d.json"
+    assert run(capsys, "step", "-e", "c", "--fuel", fuel, proc, *(["--deriv", str(out)] if deriv else [])) == want
+    assert not out.exists()
+    if not deriv:
+        actions = write_actions(tmp_path, ["c!c"])
+        assert run(capsys, "trace", "-e", "c", "--fuel", fuel, proc, actions) == want
 
 
 # ------------- derivation files and check-deriv -------------

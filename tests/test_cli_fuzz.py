@@ -57,6 +57,18 @@ def test_process_commands_exit_with_a_documented_code(command, text, env, fuel) 
     assert exit_code(argv) in range(6)
 
 
+# Up to 30 nested binders: lc walks one opening of each binder body and
+# checks the others by equivariance, so a case costs depth times size.
+binders = st.lists(st.one_of(st.builds("new {}. ".format, names), st.builds("{}?({}). ".format, names, names)),
+                   max_size=30)
+
+
+@FUZZ
+@given(binders, processes)
+def test_lc_on_nested_binders_exits_with_a_documented_code(prefix, body) -> None:
+    assert exit_code(["lc", "".join(prefix) + body]) == 0
+
+
 cycle_lists = st.lists(st.lists(st.sampled_from("nmpq"), max_size=3), max_size=3).map(
     lambda cycles: "".join(f"({' '.join(c)})" for c in cycles))
 

@@ -1185,12 +1185,29 @@ def test_the_mover_keeps_sharing_and_moves_each_node_once() -> None:
     d = open_example()
     twice = Derivation("Comm-L", d.conclusion, (d, d))
     sw = swap(a[0], a[9])
-    moves: dict = {}
-    out = twice.perm_apply(sw, moves)
+    table: dict = {}
+    out = apply(sw, twice, table)
     assert out == ref_derivation_perm(twice, sw)
     assert out.premises[0] is out.premises[1]
-    assert d.perm_apply(sw, moves) is out.premises[0]
-    assert len([k for k in moves[sw.pairs] if k in (id(d), id(twice))]) == 2
+    assert apply(sw, d, table) is out.premises[0]
+    assert len([k for k in table if k in (id(d), id(twice))]) == 2
+
+
+def test_derivations_inherit_the_generic_action_and_support() -> None:
+    # Derivation declares neither method: PermValue's, over permtypes' walks, serve it.
+    assert "perm_apply" not in vars(Derivation) and "support" not in vars(Derivation)
+    d = open_example()
+    twice = Derivation("Comm-L", d.conclusion, (d, d))
+    sw = swap(a[0], a[9])
+    moved = twice.perm_apply(sw)
+    assert moved == ref_derivation_perm(twice, sw)
+    assert moved.premises[0] is moved.premises[1]
+    assert twice.support() == supp(twice) == recursive_support(twice)
+    # Moved to another witness, a cofinite node's two premises that are one object stay one object.
+    q = Derivation("Close-L", d.conclusion, (d, d), Cofinite(fin(0), a[5]))
+    rewitnessed = lts._moved(q, a[7], {})
+    assert rewitnessed.premises[0] is rewitnessed.premises[1]
+    assert rewitnessed.premises[0] == ref_derivation_perm(d, swap(a[5], a[7]))
 
 
 # ------------- weakening -------------

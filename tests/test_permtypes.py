@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -41,6 +42,44 @@ def test_apply_rejects_unknown_types() -> None:
         apply(identity(), 1.5)
     with pytest.raises(TypeError):
         supp({a[0]})
+
+
+# ------------- the walks: depth and sharing -------------
+
+
+def test_apply_and_supp_walk_a_tuple_nested_10000_deep() -> None:
+    t = a[0]
+    for i in range(10_000):
+        t = (t, a[i % 3])
+    moved = apply(swap(a[0], a[5]), t)
+    assert supp(t) == NameSet.finite(a[:3])
+    assert supp(moved) == NameSet.finite([a[1], a[2], a[5]])
+    for _ in range(10_000):
+        moved = moved[0]
+    assert moved == a[5]
+
+
+def test_a_shared_half_is_visited_once() -> None:
+    # 60 levels of a pair of one object: 2^60 leaves as a tree, 61 distinct parts.
+    t = (a[0], a[1])
+    for _ in range(60):
+        t = (t, t)
+    start = time.perf_counter()
+    assert supp(t) == NameSet.finite([a[0], a[1]])
+    assert time.perf_counter() - start < 0.5
+    moved = apply(swap(a[1], a[7]), t)
+    for _ in range(60):
+        assert moved[0] is moved[1]
+        moved = moved[0]
+    assert moved == (a[0], a[7])
+
+
+def test_one_table_moves_a_shared_part_once() -> None:
+    p, shared = swap(a[0], a[1]), (a[0], NameSet.finite([a[0]]))
+    table: dict = {}
+    first = apply(p, [shared, (shared,)], table)
+    assert first[0] is first[1][0] is apply(p, shared, table)
+    assert table[id(shared)] == (shared, first[0])
 
 
 # ------------- supp and freshness -------------

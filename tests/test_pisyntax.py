@@ -21,6 +21,7 @@ from lnpi.pisyntax import (
     Sum,
     Term,
     LC_EXTRA_WITNESSES,
+    _parts,
     free_atoms,
     free_names,
     map_names,
@@ -337,6 +338,59 @@ def ref_term_lc(t) -> bool:
         case Rep(b):
             return ref_term_lc(b)
     raise TypeError(f"not a term: {t!r}")
+
+
+def every_witness_term_lc(t) -> bool:
+    """term_lc as it was before it used equivariance: the walk goes on into
+    each binder body opened at every witness, so its time is exponential in
+    the nesting of binders."""
+    todo = [t]
+    while todo:
+        for x, d in _parts(todo.pop(), 0):
+            if type(x) is Bound:
+                return False
+            if d:  # a binder body, opened at level 0
+                todo += [x.open_at(0, w) for w in free_names(x).least_outside(1 + LC_EXTRA_WITNESSES)]
+            elif isinstance(x, Term):
+                todo.append(x)
+    return True
+
+
+def nested_binders(rng: random.Random, k: int) -> Term:
+    """k nested new and input binders over one or two outputs.  A name under
+    j binders is a free atom or an index up to j, so the index j dangles."""
+
+    def name(j: int) -> Name:
+        i = rng.randrange(j + 2)
+        return Free(a[rng.randrange(4)]) if i > j else Bound(i)
+
+    body = Nil()
+    for _ in range(rng.randrange(1, 3)):
+        body = Par(Out(name(k), name(k), Nil()), body)
+    for j in reversed(range(k)):
+        body = Res(body) if rng.random() < 0.5 else Inp(name(j), body)
+    return body
+
+
+def test_term_lc_agrees_with_the_walk_into_every_witness() -> None:
+    rng = random.Random(67)
+    nested = [nested_binders(rng, k) for k in range(8) for _ in range(max(1, 48 >> k))]
+    assert {term_lc(t) for t in nested if t.binds} == {True, False}
+    for t in corpus() + nested:
+        assert term_lc(t) == every_witness_term_lc(t) == t.lc_at(0), t
+
+
+def test_term_lc_notices_an_opening_broken_at_one_witness(monkeypatch) -> None:
+    # EXTRUDER's body holds a0: it is walked opened at a1 and checked opened
+    # at a2, a3 and a4.  The opening at a3 is broken: it opens nothing, or it
+    # opens at a9, which the walk into every witness does not notice.
+    opened = Term.open_at
+    for broken, walked_all in ((lambda u: u, False), (lambda u: opened(u, 0, a[9]), True)):
+        monkeypatch.setattr(Term, "open_at", lambda u, i, x: broken(u) if x == a[3] else opened(u, i, x))
+        assert term_lc(EXTRUDER) is False
+        assert every_witness_term_lc(EXTRUDER) is walked_all
+    monkeypatch.undo()
+    assert term_lc(EXTRUDER) is every_witness_term_lc(EXTRUDER) is True
 
 
 def all_subterms(t) -> list:
