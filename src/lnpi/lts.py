@@ -157,8 +157,6 @@ class Config(PermValue, Record):
 
     def support(self) -> NameSet:
         # The environment itself, not its support: they differ on infinite sets.
-        if self.env.is_finite():  # its members are its flips: one set is built
-            return NameSet(flips=self.env.flips | free_atoms(self.proc))
         return self.env.union(free_names(self.proc))
 
 
@@ -388,12 +386,18 @@ def _res_derivs(env, proc, body, fuel, avoid, memo):
 
 
 def _visible_fresh(t: Transition, base: NameSet) -> list[Atom]:
-    """The atoms outside base in t's action, then its destination's process
-    and finite environment, each at its first appearance."""
-    a, dst = t.action, t.dst
-    order = ([] if isinstance(a, Tau) else [a.chan, a.name]) + term_atom_list(dst.proc)
-    order += dst.env.atoms() if dst.env.is_finite() else ()
-    return list(dict.fromkeys(x for x in order if not base.member(x)))
+    seen: list[Atom] = []
+    order = []
+    a = t.action
+    if not isinstance(a, Tau):
+        order += [a.chan, a.name]
+    order += term_atom_list(t.dst.proc)
+    if t.dst.env.is_finite():
+        order += list(t.dst.env.atoms())
+    for x in order:
+        if not base.member(x) and x not in seen:
+            seen.append(x)
+    return seen
 
 
 def _renaming(t: Transition, base: NameSet) -> Permutation | None:
@@ -724,8 +728,9 @@ def _weaken(d: Derivation, xe: NameSet) -> Derivation:
             todo += [(p, None) for p in r.premises]
             continue
         t = r.conclusion
-        concl = Transition(Config(t.src.env.union(xe), t.src.proc), t.action,
-                           Config(t.dst.env.union(xe), t.dst.proc))
+        concl = Transition(
+            Config(t.src.env.union(xe), t.src.proc), t.action, Config(t.dst.env.union(xe), t.dst.proc)
+        )
         cof = Cofinite(r.cofinite.avoid.union(xe), r.cofinite.witness) if r.cofinite else None
         done[id(q)] = q, Derivation(r.rule, concl, tuple(done[id(p)][1] for p in r.premises), cof, r.side)
     return done[id(d)][1]

@@ -228,12 +228,12 @@ class _Json(Record):  # the JSON form of a NameSet, which from_json decodes thro
 
 
 def union_all(*sets: NameSet) -> NameSet:
-    if all(s.is_finite() for s in sets):
-        # All finite: each set's flips are its members.
-        return NameSet(1, _NONE, _NONE.union(*(s.flips for s in sets)))
-    out = NameSet.empty()
+    # A finite set's flips are its members: the finite sets are merged in
+    # one step, and only the others go through union.
+    out = NameSet(flips=_NONE.union(*(s.flips for s in sets if not s.residues)))
     for s in sets:
-        out = out.union(s)
+        if s.residues:
+            out = out.union(s)
     return out
 
 

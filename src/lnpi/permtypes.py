@@ -54,9 +54,8 @@ def components(t) -> list | tuple | frozenset:
 
 def map_components(f: Callable, t):
     """The container t rebuilt with each of its components x replaced by f(x)."""
-    if isinstance(t, PermValue):
-        return type(t)(*[f(getattr(t, name)) for name in t.__match_args__])
-    return type(t)(map(f, components(t)))
+    parts = map(f, components(t))
+    return type(t)(*parts) if isinstance(t, PermValue) else type(t)(parts)
 
 
 # Shapes besides None (a primitive) and field names (a PermValue): a leaf, a
@@ -129,11 +128,7 @@ def supp(t) -> NameSet:
         elif shape is not None and id(x) not in seen:
             seen.add(id(x))
             if shape is _LEAF:
-                s = x.support()
-                if s.residues:
-                    sets.append(s)
-                else:
-                    atoms.update(s.flips)
+                sets.append(x.support())
             else:
                 todo += x if shape is _ITEMS else map(x.__getattribute__, shape)
     return union_all(NameSet(flips=frozenset(atoms)), *sets)

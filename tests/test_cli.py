@@ -1,4 +1,6 @@
+import inspect
 import json
+import sys
 import time
 
 import pytest
@@ -146,11 +148,31 @@ DEEP = [("250", "*(c!c.0)", False), ("1", " | ".join(["c!c.0"] * 330), False), (
 
 
 @pytest.mark.parametrize("fuel, proc, deriv", DEEP, ids=[f"{f}-{p}" + "-deriv" * d for f, p, d in DEEP])
-def test_stepping_past_the_recursion_limit_is_a_syntax_error(capsys, tmp_path, fuel, proc, deriv) -> None:
+def test_stepping_past_the_recursion_limit_is_a_syntax_error(
+    capsys, monkeypatch, request, tmp_path, fuel, proc, deriv
+) -> None:
     # _derivs recurses per unfolding and per Par, and the encoder per record;
-    # their depth limits are reported as a file's is, with no traceback.  At
-    # fuel 165 only encoding the derivations passes the limit, and no file is
-    # written.
+    # their depth limits are reported as a file's is, with no traceback, and
+    # no file is written.  How many frames a level takes depends on the
+    # interpreter, so each case lowers the limit to 100 frames above where it
+    # stands, which every input here passes at one frame per level.  With
+    # --deriv, step enumerates under the usual limit and only the encoder
+    # meets the lowered one.
+    limit = sys.getrecursionlimit()
+    request.addfinalizer(lambda: sys.setrecursionlimit(limit))
+
+    def lower_the_limit() -> None:
+        sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+
+    def step_then_lower_the_limit(cfg, fuel):
+        result = step(cfg, fuel)
+        lower_the_limit()
+        return result
+
+    if deriv:
+        monkeypatch.setattr("lnpi.cli.step", step_then_lower_the_limit)
+    else:
+        lower_the_limit()
     want = (1, "", f"syntax error: the process is nested too deeply to step at fuel {fuel} (at position 0)\n")
     out = tmp_path / "d.json"
     assert run(capsys, "step", "-e", "c", "--fuel", fuel, proc, *(["--deriv", str(out)] if deriv else [])) == want
