@@ -3,6 +3,7 @@
 Atoms are bare natural indices; display names live in the CLI symbol
 table, never here.  Permutations are stored as finite bijections in
 canonical form (no fixed points recorded), so equality is structural.
+Only the public constructor and ``from_cycles`` check bijectivity.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ class Permutation:
     """A bijection on atoms moving only finitely many of them.
 
     ``pairs`` holds (source index, target index) entries sorted by source,
-    self-maps dropped.  Built via ``swap``/``compose``/``identity`` rather
-    than directly.
+    self-maps dropped; ``mapping``, not a field and never changed, holds them
+    as a dict.  Built via ``swap``/``compose``/``identity``, not directly.
     """
 
     pairs: tuple[tuple[int, int], ...] = field(default=())
@@ -52,23 +53,22 @@ class Permutation:
             raise ValueError("permutation mapping is not injective")
         if set(mapping) != set(mapping.values()):
             raise ValueError("permutation domain and image differ (not a bijection)")
-        object.__setattr__(self, "pairs", tuple(sorted(mapping.items())))
+        self.__dict__.update(pairs=tuple(sorted(mapping.items())), mapping=mapping)
 
     def __call__(self, a: Atom) -> Atom:
-        for s, t in self.pairs:
-            if s == a.index:
-                return Atom(t)
-        return a
+        t = self.mapping.get(a.index)
+        return a if t is None else Atom(t)
 
     def inverse(self) -> Permutation:
-        return Permutation(tuple((t, s) for s, t in self.pairs))
+        return _bijection({t: s for s, t in self.mapping.items()})
 
     def moved(self) -> tuple[Atom, ...]:
         return tuple(Atom(s) for s, _ in self.pairs)
 
     def perm_apply(self, p: Permutation) -> Permutation:
-        # A permutation is itself a permutation value: p acts by conjugation.
-        return compose(p, compose(self, p.inverse()))
+        # p acts on a permutation by conjugation, which maps p(s) to p(self(s)).
+        move = p.mapping.get
+        return _bijection({move(s, s): move(t, t) for s, t in self.mapping.items()})
 
     def support(self):
         from .namesets import NameSet
@@ -77,19 +77,18 @@ class Permutation:
 
     def cycles(self) -> list[list[int]]:
         """Disjoint cycles of the moved atoms, each rotated to start at its least index."""
-        mapping = dict(self.pairs)
         seen: set[int] = set()
         out: list[list[int]] = []
-        for start in sorted(mapping):
+        for start in sorted(self.mapping):
             if start in seen:
                 continue
             cyc = [start]
             seen.add(start)
-            nxt = mapping[start]
+            nxt = self.mapping[start]
             while nxt != start:
                 cyc.append(nxt)
                 seen.add(nxt)
-                nxt = mapping[nxt]
+                nxt = self.mapping[nxt]
             out.append(cyc)
         return out
 
@@ -107,15 +106,27 @@ class Permutation:
         return cls(tuple(pairs))
 
 
+def _bijection(mapping: dict[int, int], pairs: tuple | None = None) -> Permutation:
+    """The permutation with this mapping, a bijection by construction, left
+    unchecked; fixed points are dropped unless its sorted pairs are given."""
+    if pairs is None:
+        mapping = {s: t for s, t in mapping.items() if s != t}
+        pairs = tuple(sorted(mapping.items()))
+    p = object.__new__(Permutation)
+    p.__dict__.update(pairs=pairs, mapping=mapping)
+    return p
+
+
 def identity() -> Permutation:
     return Permutation()
 
 
 def swap(a: Atom, b: Atom) -> Permutation:
-    return Permutation(((a.index, b.index), (b.index, a.index)))
+    i, j = (a.index, b.index) if a.index < b.index else (b.index, a.index)
+    return _bijection({i: j, j: i}, ((i, j), (j, i))) if i != j else identity()
 
 
 def compose(p1: Permutation, p2: Permutation) -> Permutation:
     """p2 first, then p1: compose(p1, p2)(a) = p1(p2(a))."""
-    carrier = {s for s, _ in p1.pairs} | {s for s, _ in p2.pairs}
-    return Permutation(tuple((s, p1(p2(Atom(s))).index) for s in carrier))
+    m1 = p1.mapping
+    return _bijection({**m1, **{s: m1.get(t, t) for s, t in p2.mapping.items()}})

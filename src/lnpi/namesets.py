@@ -173,9 +173,9 @@ class NameSet:
         """The image {p(a) | a in S}; the periodic base survives because p moves finitely many atoms."""
         # p(a) is in the image iff a is in S: a moved target flips iff a's
         # membership differs from the base at p(a); any other atom keeps its flip.
-        moved = dict(p.pairs)
+        moved = p.mapping
         flips = {a for a in self.flips if a not in moved}
-        flips.update(b for a, b in p.pairs if self._member_index(a) != self._base(b))
+        flips.update(b for a, b in moved.items() if self._member_index(a) != self._base(b))
         return NameSet(self.modulus, self.residues, frozenset(flips))
 
     def support(self) -> NameSet:

@@ -93,6 +93,9 @@ def apply(p: Permutation, t, table: dict | None = None):
     """p . t for any permutation value, each distinct part moved once, its
     parts first.  table maps id(x) to (x, p . x) for each part x moved so
     far; one passed to several calls with p serves them all."""
+    shape = _APPLY[type(t)]
+    if table is None and (shape is None or shape is _LEAF):  # a lone leaf needs no stack, no table
+        return t if shape is None else t.perm_apply(p)
     table = {} if table is None else table
     todo = [t]
     while todo:

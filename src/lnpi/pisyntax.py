@@ -183,7 +183,7 @@ class Term(Record):
         return term_lc(self)
 
     def perm_apply(self, p: Permutation) -> Term:
-        moved = {s for s, _ in p.pairs}
+        moved = p.mapping.keys()
         # A node without facts reads as holding every moved atom, so it is walked.
         return map_names(self, lambda n, _: n.perm_apply(p), lambda u, _: moved.isdisjoint(getattr(u, "_fv", moved)))
 

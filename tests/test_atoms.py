@@ -1,10 +1,11 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lnpi.atoms import Atom, Permutation, compose, identity, swap
+from lnpi.atoms import Atom, Permutation, _bijection, compose, identity, swap
 
 
 # ------------- Atoms: construction and ordering -------------
@@ -148,6 +149,15 @@ def test_from_cycles_rejects_an_index_that_occurs_twice(cycles) -> None:
         Permutation.from_cycles(cycles)
 
 
+def test_the_boundaries_check_what_the_operations_do_not() -> None:
+    # swap, inverse, compose and conjugation build their results unchecked;
+    # the public constructor and from_cycles still reject what is no bijection.
+    with pytest.raises(ValueError, match="not a bijection"):
+        Permutation(((1, 2),))
+    with pytest.raises(ValueError, match="occurs twice"):
+        Permutation.from_cycles([[1, 2], [2, 3]])
+
+
 # ------------- Group laws (randomized) -------------
 
 
@@ -176,3 +186,72 @@ def test_composition_is_associative(p1, p2, p3) -> None:
 def test_identity_is_neutral(p: Permutation) -> None:
     assert compose(p, identity()) == p
     assert compose(identity(), p) == p
+
+
+# ------------- The operations against their checked definitions -------------
+# The definitions from before a permutation stored its mapping: a linear scan
+# for application, atom-wise composition, conjugation by two compositions and
+# an inverse, every result built by the public, checked constructor.
+
+
+def ref_call(p: Permutation, a: Atom) -> Atom:
+    for s, t in p.pairs:
+        if s == a.index:
+            return Atom(t)
+    return a
+
+
+def ref_swap(a: Atom, b: Atom) -> Permutation:
+    return Permutation(((a.index, b.index), (b.index, a.index)))
+
+
+def ref_inverse(p: Permutation) -> Permutation:
+    return Permutation(tuple((t, s) for s, t in p.pairs))
+
+
+def ref_compose(p1: Permutation, p2: Permutation) -> Permutation:
+    carrier = {s for s, _ in p1.pairs} | {s for s, _ in p2.pairs}
+    return Permutation(tuple((s, ref_call(p1, ref_call(p2, Atom(s))).index) for s in carrier))
+
+
+def ref_conjugate(sigma: Permutation, p: Permutation) -> Permutation:
+    return ref_compose(p, ref_compose(sigma, ref_inverse(p)))
+
+
+def assert_same(new: Permutation, ref: Permutation) -> None:
+    assert new == ref
+    assert hash(new) == hash(ref)
+    assert repr(new) == repr(ref)
+    assert new.pairs == ref.pairs
+    assert new.mapping == dict(ref.pairs)
+
+
+# A shuffle of a few indices, built by the checked constructor: often the
+# identity or a swap, sometimes with fixed points among its pairs.
+shuffles = st.lists(st.integers(0, 12), unique=True, max_size=6).flatmap(
+    lambda xs: st.permutations(xs).map(lambda ys: dict(zip(xs, ys)))
+)
+checked = st.one_of(
+    st.just(identity()),
+    st.just(ref_swap(Atom(3), Atom(3))),
+    shuffles.map(lambda m: Permutation(tuple(m.items()))),
+)
+
+
+def test_swap_matches_the_checked_definition() -> None:
+    for i, j in itertools.product(range(5), repeat=2):
+        assert_same(swap(Atom(i), Atom(j)), ref_swap(Atom(i), Atom(j)))
+    assert swap(Atom(2), Atom(2)) == identity()
+
+
+@given(checked, checked, st.integers(0, 14))
+def test_operations_match_their_checked_definitions(p: Permutation, q: Permutation, i: int) -> None:
+    assert p(Atom(i)) == ref_call(p, Atom(i))
+    assert_same(p.inverse(), ref_inverse(p))
+    assert_same(compose(p, q), ref_compose(p, q))
+    assert_same(q.perm_apply(p), ref_conjugate(q, p))
+
+
+@given(shuffles)
+def test_the_unchecked_constructor_builds_what_the_checked_one_does(mapping: dict) -> None:
+    assert_same(_bijection(mapping), Permutation(tuple(mapping.items())))

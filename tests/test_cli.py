@@ -355,9 +355,11 @@ TAU_JSON = f'{{"src": {CONFIG_JSON}, "action": {{"tag": "tau"}}, "dst": {CONFIG_
 
 
 def nested_derivation(depth: int) -> str:
-    """A derivation text of depth Rep nodes, each the one premise of the node above."""
-    leaf = f'{{"rule": "Out", "conclusion": {TAU_JSON}, "premises": []}}'
-    return f'{{"rule": "Rep", "conclusion": {TAU_JSON}, "premises": [' * depth + leaf + "]}" * depth
+    """A derivation text of depth Rep nodes, each the one premise of the node above.
+    Every record has all the keys of one, so only its depth can reject it."""
+    leaf = f'{{"rule": "Out", "conclusion": {TAU_JSON}, "cofinite": null, "side": null, "premises": []}}'
+    node = f'{{"rule": "Rep", "conclusion": {TAU_JSON}, "cofinite": null, "side": null, "premises": ['
+    return node * depth + leaf + "]}" * depth
 
 
 def test_deeply_nested_files_are_syntax_errors(capsys, tmp_path) -> None:

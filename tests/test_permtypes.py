@@ -8,7 +8,7 @@ from lnpi.binding import close_at, lc_at, lc_cofinite, open_at
 from lnpi.gen import rand_atom, rand_family, rand_nameset, rand_open_term, rand_perm
 from lnpi.namesets import NameSet, union_all
 from lnpi.permtypes import FiniteTermSet, IndexedFamily, apply, is_fresh, supp
-from lnpi.pisyntax import Bound, Free, Nil, Out
+from lnpi.pisyntax import Bound, Free, Inp, Nil, Out
 
 a = [Atom(i) for i in range(10)]
 
@@ -35,6 +35,20 @@ def test_primitives_carry_the_trivial_action() -> None:
     assert apply(p, True) is True
     assert apply(p, None) is None
     assert supp(3).is_empty()
+
+
+@pytest.mark.parametrize(
+    "x",
+    [a[0], a[5], swap(a[0], a[3]), NameSet.finite([a[0], a[2]]), Inp(Free(a[0]), Out(Bound(0), Free(a[1]), Nil())),
+     7, None, (a[0], NameSet.finite([a[3]]))],
+    ids=["atom", "fixed-atom", "permutation", "nameset", "term", "int", "none", "tuple"],
+)
+def test_apply_without_a_table_is_apply_with_one(x) -> None:
+    # A lone leaf or trivial value is moved at once, without a walk and a table.
+    p = compose(swap(a[0], a[1]), swap(a[1], a[3]))
+    table: dict = {}
+    assert apply(p, x) == apply(p, x, table)
+    assert id(x) in table
 
 
 def test_apply_rejects_unknown_types() -> None:
