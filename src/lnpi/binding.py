@@ -34,14 +34,6 @@ def close_at(i: int, x: Atom, t):
     return map_components(partial(close_at, i, x), t)
 
 
-def open0(t, x: Atom):
-    return open_at(0, x, t)
-
-
-def close0(t, x: Atom):
-    return close_at(0, x, t)
-
-
 def lc_at(i: int, t) -> bool:
     """No dangling indices at or above level i."""
     if hasattr(t, "lc_at"):

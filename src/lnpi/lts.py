@@ -14,12 +14,12 @@ costs it no frames of its own (the term traversals still recurse).
 ``_check`` validates a single node: guards driven by a table of each
 rule's premise count and whether it takes side data or a cofinite record,
 then the rule's case, which compares the node with its premises'
-conclusions.  ``check`` visits a node, then its premises, then, for a
-cofinite node, that node moved to each extra fresh witness: the same
-conclusion over premises with the two witnesses swapped.  A moved copy is
-just another derivation, checked by a walk of its own with no extra
-witnesses, guards and all; a failure in it is reported at the cofinite
-node.
+conclusions.  ``check`` visits a node, then its premises.  A cofinite
+node is checked again at each extra fresh witness, with the same
+conclusion over its premises' conclusions swapped to that witness; a
+failure there is reported at the node.  Every test in ``_check`` is
+equivariant, so the swapped premise subtrees pass as the originals do
+and are not walked.
 
 The enumerator ``_derivs`` is a pure function of (environment, process,
 fuel, avoid set), and replication makes it meet the same arguments many
@@ -449,7 +449,7 @@ def check(d: Derivation, extra_witnesses: int = 0) -> None:
 def check_each(derivs, extra_witnesses: int = 0):
     """Yield each derivation once it passed check, in order.  One success
     table and one set of apply's tables serve them all, so a sub-derivation
-    they share is moved and checked once."""
+    they share is checked once, and a premise conclusion moved once."""
     done: dict = {}
     moves: dict = {}
     for d in derivs:
@@ -457,45 +457,35 @@ def check_each(derivs, extra_witnesses: int = 0):
         yield d
 
 
-def _walk(d: Derivation, extra_witnesses: int, done: dict, moves: dict, path: tuple[int, ...] = ()) -> None:
-    # Entries are (node, path, moving).  moving marks the entry of a
-    # cofinite node pushed below its premises' entries, so it is reached
-    # once they passed; its copies moved to each extra witness are then
-    # checked by a walk of their own, with no extra witnesses, so the
-    # nesting is one level deep.  done, the success table, maps
-    # (id(node), extra) to the node once its own check passed; met again,
-    # it is skipped with its subtree.  That is sound because the stack is
-    # LIFO: the subtree is popped before anything pushed before the node,
-    # and a failure in it ends the walk.  moves holds apply's tables (see
-    # _moved).
-    todo = [(d, path, False)]
+def _walk(d: Derivation, extra_witnesses: int, done: dict, moves: dict) -> None:
+    # Entries are (node, path).  A cofinite node is checked again at each
+    # extra witness w2 as one node: witness w2, and its premises cut down to
+    # their conclusions moved by swap(w, w2) through moves' table for that
+    # swap (see the module docstring).  done, the success table, maps
+    # (id(node), extra) to the node once its checks passed; met again, it is
+    # skipped with its subtree.  That is sound because the stack is LIFO:
+    # the subtree is popped before anything pushed before the node, and a
+    # failure in it ends the walk.
+    todo = [(d, ())]
     while todo:
-        d, path, moving = todo.pop()
-        if moving:
-            for w2 in d.support().least_outside(extra_witnesses):
-                try:
-                    _walk(_moved(d, w2, moves), 0, done, moves, path)
-                except CheckError as e:
-                    _fail("FreshnessViolated", path, f"premises not re-derivable at witness {w2!r}: {e}")
-            continue
+        d, path = todo.pop()
         key = (id(d), extra_witnesses)
         if key in done:
             continue
         _check(d, path)
-        done[key] = d
         if extra_witnesses and d.cofinite:
-            todo.append((d, path, True))
+            for w2 in d.support().least_outside(extra_witnesses):
+                sw = swap(d.cofinite.witness, w2)
+                table = moves.setdefault(sw.pairs, {})
+                tops = tuple(Derivation(p.rule, apply(sw, p.conclusion, table)) for p in d.premises)
+                node = Derivation(d.rule, d.conclusion, tops, Cofinite(d.cofinite.avoid, w2), d.side)
+                try:
+                    _check(node, path)
+                except CheckError as e:
+                    _fail("FreshnessViolated", path, f"premises not re-derivable at witness {w2!r}: {e}")
+        done[key] = d
         for i in range(len(d.premises) - 1, -1, -1):
-            todo.append((d.premises[i], path + (i,), False))
-
-
-def _moved(d: Derivation, w2: Atom, moves: dict) -> Derivation:
-    """d re-derived at witness w2: the same conclusion, for which both
-    witnesses are fresh, over the premises with the witnesses swapped.
-    moves maps each permutation's pairs to apply's table for it."""
-    sw = swap(d.cofinite.witness, w2)
-    return Derivation(d.rule, d.conclusion, apply(sw, d.premises, moves.setdefault(sw.pairs, {})),
-                      Cofinite(d.cofinite.avoid, w2), d.side)
+            todo.append((d.premises[i], path + (i,)))
 
 
 def _fail(reason: str, path: tuple[int, ...], message: str):
@@ -712,8 +702,10 @@ def weaken(d: Derivation, extra_env: NameSet, extra_witnesses: int = 1) -> Deriv
 def _weaken(d: Derivation, xe: NameSet) -> Derivation:
     # Each distinct node once, premises first, with an explicit stack: done
     # maps id(q) to (q, q weakened), so shared premises stay shared.  A node
-    # whose witness clashes with xe is re-witnessed by _moved first.
-    moves: dict = {}  # apply's tables for _moved
+    # whose witness w clashes with xe is re-witnessed first, moved whole by
+    # swap(w, w2): that keeps its conclusion and avoid set, for which both
+    # witnesses are fresh.
+    moves: dict = {}  # apply's tables, one per swap
     done: dict = {}
     todo = [(d, None)]
     while todo:
@@ -723,7 +715,8 @@ def _weaken(d: Derivation, xe: NameSet) -> Derivation:
         if r is None:  # first visit: the premises go above q, so they are weakened first
             r = q
             if q.cofinite and xe.member(q.cofinite.witness):
-                r = _moved(q, fresh(q.support().union(xe)), moves)
+                sw = swap(q.cofinite.witness, fresh(q.support().union(xe)))
+                r = apply(sw, q, moves.setdefault(sw.pairs, {}))
             todo.append((q, r))
             todo += [(p, None) for p in r.premises]
             continue

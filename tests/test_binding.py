@@ -3,7 +3,7 @@ import random
 import pytest
 
 from lnpi.atoms import Atom
-from lnpi.binding import close0, close_at, lc, lc_at, lc_cofinite, open0, open_at
+from lnpi.binding import close_at, lc, lc_at, lc_cofinite, open_at
 from lnpi.gen import rand_open_term, rand_term
 from lnpi.permtypes import FiniteTermSet, IndexedFamily
 from lnpi.pisyntax import Bound, Free, Inp, Nil, Out, Res
@@ -32,11 +32,6 @@ def test_containers_do_not_shift_the_level() -> None:
     f = IndexedFamily((Bound(1),), Bound(0))
     assert open_at(1, a[2], f) == IndexedFamily((Free(a[2]),), Bound(0))
     assert open_at(0, a[2], f) == IndexedFamily((Bound(1),), Free(a[2]))
-
-
-def test_open0_close0_are_level_zero() -> None:
-    assert open0(Bound(0), a[1]) == Free(a[1])
-    assert close0(Free(a[1]), a[1]) == Bound(0)
 
 
 def test_binding_rejects_unknown_types() -> None:
@@ -68,7 +63,7 @@ def test_opening_lowers_the_required_level() -> None:
     # one dangling index at level 0: opening it yields a closed value
     t = (Bound(0), Free(a[1]))
     assert not lc(t)
-    assert lc(open0(t, a[2]))
+    assert lc(open_at(0, a[2], t))
 
 
 # ------------- inductive vs level-indexed local closure -------------

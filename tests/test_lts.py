@@ -992,29 +992,13 @@ def test_single_node_mutants_fail_as_in_the_recursive_checker(monkeypatch) -> No
     assert {"RuleShape", "WitnessInL", "EnvMismatch"} <= reasons
 
 
-def test_a_failure_under_a_moved_node_is_reported_at_the_cofinite_node(monkeypatch) -> None:
-    # Checking is equivariant, so a node that passes passes moved too; plant
-    # a defect in the moved copies to see where their failures are reported.
-    d = res_example()
-    planted = Derivation("Frob", d.premises[0].conclusion)
-    monkeypatch.setattr(lts, "_moved", lambda q, w2, moves: Derivation(q.rule, q.conclusion, (planted,),
-                                                                      Cofinite(q.cofinite.avoid, w2)))
-    check(d)
-    w2 = d.support().least_outside(1)[0]
-    with pytest.raises(CheckError) as err:
-        check(d, 1)
-    assert err.value == CheckError("FreshnessViolated", (), f"premises not re-derivable at witness {w2!r}: "
-                                   "RuleShape at 0: unknown rule 'Frob'")
-
-
 def test_a_moved_node_still_compares_its_premises_at_the_new_witness(monkeypatch) -> None:
     # The restricted name occurs in the premise, so an unpermuted premise
     # does not match the template opened at the new witness.
     cfg = Config(fin(0), Res(Par(Out(Bound(0), Bound(0), Nil()), Inp(F(0), Nil()))))
     d = next(d for _, d in step(cfg).results if d.rule == "Res")
     check(d, 2)
-    monkeypatch.setattr(lts, "_moved", lambda q, w2, moves: Derivation(q.rule, q.conclusion, q.premises,
-                                                                      Cofinite(q.cofinite.avoid, w2)))
+    monkeypatch.setattr(lts, "apply", lambda p, x, table=None: x)  # the walk leaves the conclusions unmoved
     w2 = d.support().least_outside(1)[0]
     with pytest.raises(CheckError) as err:
         check(d, 1)
@@ -1049,9 +1033,20 @@ def test_check_walks_a_thousand_node_derivation() -> None:
     check(deep, 2)
 
 
+def ref_moved(d: Derivation, w2: Atom, moves: dict) -> Derivation:
+    """d re-derived at witness w2: the same conclusion, for which both
+    witnesses are fresh, over the premises with the witnesses swapped.
+    moves maps each permutation's pairs to apply's table for it.  The
+    reference that _weaken's re-witnessing, a permutation of the whole
+    node, must equal."""
+    sw = swap(d.cofinite.witness, w2)
+    return Derivation(d.rule, d.conclusion, apply(sw, d.premises, moves.setdefault(sw.pairs, {})),
+                      Cofinite(d.cofinite.avoid, w2), d.side)
+
+
 def test_moving_a_cofinite_node_permutes_it_whole() -> None:
-    # _weaken re-witnesses a node through the walk's _moved, which keeps the
-    # conclusion and avoid set: equal to permuting the whole node, since both
+    # _weaken re-witnesses a node by permuting it whole.  That equals
+    # ref_moved, which keeps the conclusion and avoid set, since both
     # witnesses are fresh for them.
     corpus = [(rand_config(random.Random(seed)), 2) for seed in range(400)]
     corpus += [(ROADMAP_PROCESS, 6), (SERVER, 6)]
@@ -1061,21 +1056,59 @@ def test_moving_a_cofinite_node_permutes_it_whole() -> None:
             for q in walk(d):
                 if q.cofinite:
                     for w2 in q.support().least_outside(3):
-                        assert lts._moved(q, w2, {}) == q.perm_apply(swap(q.cofinite.witness, w2))
+                        assert ref_moved(q, w2, {}) == q.perm_apply(swap(q.cofinite.witness, w2))
                         moves += 1
     assert moves > 400
 
 
 def test_moved_copies_pass_the_guards_too(monkeypatch) -> None:
-    # The checker checks a moved copy in full, guards included: they pass,
-    # since the new witness lies outside the node's support, which holds its
-    # avoid set and every atom of its conclusion.
+    # The checker checks a node re-witnessed at w2, guards included: they
+    # pass, since the new witness lies outside the node's support, which
+    # holds its avoid set and every atom of its conclusion.
     corpus = lemma_configs_at_fuel_2(monkeypatch) + [(ROADMAP_PROCESS, 6), (SERVER, 6)]
     nodes = {id(q): q for cfg, fuel in corpus for _, d in step(cfg, fuel).results for q in walk(d) if q.cofinite}
     assert {"Res", "Close-L", "Close-R"} <= {q.rule for q in nodes.values()}
     for q in nodes.values():
         for w2 in q.support().least_outside(3):
-            lts._check(lts._moved(q, w2, {}), ())
+            lts._check(ref_moved(q, w2, {}), ())
+
+
+def equivariance_perms(d: Derivation, rng: random.Random) -> list[Permutation]:
+    """A random permutation, and for each cofinite node of d, the swaps of
+    its witness with an atom of the node's support and with one outside it.
+    The atoms range past those of the corpus, up to index 30 or so."""
+    perms = [rand_perm(rng, 20)]
+    for q in {id(q): q for q in walk(d) if q.cofinite}.values():
+        w, support = q.cofinite.witness, q.support()
+        perms.append(swap(w, rng.choice([x for x in support.atoms() if x != w])))
+        perms.append(swap(w, rng.choice(support.least_outside(20))))
+    return perms
+
+
+def test_checking_is_equivariant(monkeypatch) -> None:
+    # The checker does not walk the moved copies of a cofinite node's
+    # premises, since every test it makes is equivariant: a moved derivation
+    # passes or fails as its original does, at the same path.
+    rng = random.Random(18)
+    corpus = lemma_configs_at_fuel_2(monkeypatch)
+    corpus += [(cfg, fuel) for cfg in (ROADMAP_PROCESS, SERVER) for fuel in range(1, 7)]
+    derivs = list(dict.fromkeys(d for cfg, fuel in corpus for _, d in step(cfg, fuel).results))
+    swaps = failures = 0
+    for d in derivs:
+        perms = equivariance_perms(d, rng)
+        swaps += len(perms) - 1
+        for p in perms:
+            moved = apply(p, d)
+            for extra in range(4):
+                check(moved, extra)
+        for path, q in paths(d):
+            for m in node_mutants(q):
+                bad = mutated(d, path, m)
+                want = check_outcome(check, bad, 2)
+                got = check_outcome(check, apply(rng.choice(perms), bad), 2)
+                assert (got and (got.reason, got.path)) == (want and (want.reason, want.path)), (path, m)
+                failures += want is not None
+    assert swaps > 100 and failures > 3000
 
 
 # ------------- the share-aware walk -------------
@@ -1163,7 +1196,7 @@ def restricted(d: Derivation) -> Derivation:
 @pytest.mark.parametrize("unfoldings", [300, 500])
 def test_a_restriction_over_a_long_chain_checks_and_weakens(unfoldings) -> None:
     # 603 and 1003 Rep/Par-R nodes under one Res node: checking it at extra
-    # witnesses moves the whole chain, and weakening walks it.
+    # witnesses moves only the chain's top conclusion, and weakening walks it.
     d = restricted(replicated_output(unfoldings))
     check(d, 2)
     out = weaken(d, fin(5))
@@ -1205,7 +1238,7 @@ def test_derivations_inherit_the_generic_action_and_support() -> None:
     assert twice.support() == supp(twice) == recursive_support(twice)
     # Moved to another witness, a cofinite node's two premises that are one object stay one object.
     q = Derivation("Close-L", d.conclusion, (d, d), Cofinite(fin(0), a[5]))
-    rewitnessed = lts._moved(q, a[7], {})
+    rewitnessed = apply(swap(a[5], a[7]), q, {})
     assert rewitnessed.premises[0] is rewitnessed.premises[1]
     assert rewitnessed.premises[0] == ref_derivation_perm(d, swap(a[5], a[7]))
 
