@@ -66,7 +66,10 @@ class Permutation:
         return tuple(Atom(s) for s, _ in self.pairs)
 
     def perm_apply(self, p: Permutation) -> Permutation:
-        # p acts on a permutation by conjugation, which maps p(s) to p(self(s)).
+        # p acts on a permutation by conjugation, which maps p(s) to p(self(s));
+        # a p that moves none of self's atoms leaves self as it is.
+        if p.mapping.keys().isdisjoint(self.mapping):
+            return self
         move = p.mapping.get
         return _bijection({move(s, s): move(t, t) for s, t in self.mapping.items()})
 

@@ -92,11 +92,19 @@ class NoSuchTransition(Exception):
         self.index = index
 
 
-@dataclass(frozen=True)
 class CheckError(Exception):
-    reason: str  # WitnessInL | FreshnessViolated | EnvMismatch | RuleShape | TraceMismatch
-    path: tuple[int, ...]  # premise indices from the root
-    message: str
+    # Not a frozen dataclass: re-raising sets __traceback__, which that refuses.
+    def __init__(self, reason: str, path: tuple[int, ...], message: str) -> None:
+        super().__init__(reason, path, message)
+        self.reason = reason  # WitnessInL | FreshnessViolated | EnvMismatch | RuleShape | TraceMismatch
+        self.path = path  # premise indices from the root
+        self.message = message
+
+    def __eq__(self, other):
+        return self.args == other.args if type(other) is CheckError else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.args)
 
     def __str__(self) -> str:
         where = "/".join(map(str, self.path)) or "root"

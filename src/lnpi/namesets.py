@@ -170,13 +170,18 @@ class NameSet:
     # ------------- permutation action and support -------------
 
     def perm_apply(self, p: Permutation) -> NameSet:
-        """The image {p(a) | a in S}; the periodic base survives because p moves finitely many atoms."""
+        """The image {p(a) | a in S}, S itself if p fixes it; the periodic base survives."""
         # p(a) is in the image iff a is in S: a moved target flips iff a's
         # membership differs from the base at p(a); any other atom keeps its flip.
         moved = p.mapping
-        flips = {a for a in self.flips if a not in moved}
-        flips.update(b for a, b in moved.items() if self._member_index(a) != self._base(b))
-        return NameSet(self.modulus, self.residues, frozenset(flips))
+        hits = {b for a, b in moved.items() if self._member_index(a) != self._base(b)}
+        if hits == moved.keys() & self.flips:  # p moves atoms onto atoms of the same membership
+            return self
+        # The base is unchanged, so it is still minimal and is not minimised again.
+        image = object.__new__(NameSet)
+        image.__dict__.update(modulus=self.modulus, residues=self.residues,
+                              flips=self.flips.difference(moved).union(hits) or _NONE)
+        return image
 
     def support(self) -> NameSet:
         # Finite sets are their own support, cofinite sets are supported by

@@ -7,14 +7,19 @@ every explicitly stored index is below 12, and the periodic bases a
 value combines have moduli whose lcm is at most 30 (single bases are
 canonical with modulus <= 6).  Past index 12 the outcome therefore
 depends only on b's residue class, and the window 13..63 contains a
-full period, so probing it decides the infinite set exactly.  Keeping
-candidate atoms below the threshold means b == a never falls inside
-the window, so skipping it costs nothing.
+full period, so probing it decides the infinite set exactly.  The
+probes of a candidate a, the swaps (a b) for b in the window other than
+a in ascending order, are built once and kept in a bounded table; no
+answer is kept, and the structural supp is never read.  A probe that
+fixes t gets t itself back, so it costs an identity test, not a
+comparison.
 """
 
 from __future__ import annotations
 
-from .atoms import Atom, swap
+from functools import lru_cache
+
+from .atoms import Atom, Permutation, swap
 from .namesets import NameSet
 from .permtypes import apply
 
@@ -22,12 +27,15 @@ THRESHOLD = 12
 PROBE = 64
 
 
+@lru_cache(maxsize=PROBE)  # bounded: a caller may ask any candidate
+def _probes(index: int) -> tuple[Permutation, ...]:
+    a = Atom(index)
+    return tuple(swap(a, Atom(b)) for b in range(THRESHOLD + 1, PROBE) if b != index)
+
+
 def in_supp(a: Atom, t) -> bool:
     """Does the definition put a in supp(t)?"""
-    return any(
-        b != a.index and apply(swap(a, Atom(b)), t) != t
-        for b in range(THRESHOLD + 1, PROBE)
-    )
+    return any((moved := apply(p, t)) is not t and moved != t for p in _probes(a.index))
 
 
 def supp_disagreements(t, computed: NameSet, candidates: int = THRESHOLD) -> list[int]:

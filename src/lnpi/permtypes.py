@@ -11,16 +11,20 @@ each one walk with an explicit stack over a value's distinct parts, so
 depth costs them no frames and a shared part is visited once; a walk stops
 at a leaf and at a composite with the method of its own, which therefore
 must not call ``PermValue``'s (``Config`` and ``Cofinite`` support
-themselves by their sets).  ``apply``'s table maps ``id(x)`` to
-``(x, p . x)``, holding each part it keys, so no identity is reused while
-it lives; one table passed to several calls with one permutation moves
-what they share once and shares the copy.  ``components`` and
+themselves by their sets).  Like the leaves, ``apply`` hands back what p
+fixes: a tuple, frozenset or PermValue whose moved parts are all its own
+parts is kept, not rebuilt (a list is mutable, so it is always copied).
+``apply``'s table maps ``id(x)`` to ``(x, p . x)``, holding each part it
+keys, so no identity is reused while it lives; one table passed to
+several calls with one permutation moves what they share once and
+shares the copy.  ``components`` and
 ``map_components`` list and rebuild a container's parts, which is all
 ``lnpi.binding`` needs to open, close and decide local closure of one.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
@@ -103,7 +107,10 @@ def apply(p: Permutation, t, table: dict | None = None):
         if x is _BUILD:  # below it: the parts of the value below them, all moved
             parts, x = todo.pop(), todo.pop()
             moved = [table[id(y)][1] for y in parts]
-            table[id(x)] = x, type(x)(moved) if _APPLY[type(x)] is _ITEMS else type(x)(*moved)
+            if type(x) is not list and all(map(operator.is_, moved, parts)):  # p fixes x: keep it
+                table[id(x)] = x, x
+            else:
+                table[id(x)] = x, type(x)(moved) if _APPLY[type(x)] is _ITEMS else type(x)(*moved)
         elif id(x) not in table:
             shape = _APPLY[type(x)]
             if shape is None:

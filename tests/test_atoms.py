@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lnpi.atoms import Atom, Permutation, _bijection, compose, identity, swap
+from lnpi.gen import rand_perm
 
 
 # ------------- Atoms: construction and ordering -------------
@@ -255,3 +256,18 @@ def test_operations_match_their_checked_definitions(p: Permutation, q: Permutati
 @given(shuffles)
 def test_the_unchecked_constructor_builds_what_the_checked_one_does(mapping: dict) -> None:
     assert_same(_bijection(mapping), Permutation(tuple(mapping.items())))
+
+
+def test_conjugation_returns_the_permutation_that_p_fixes() -> None:
+    # The fast path against the plain conjugation p . q . p^-1: a p that moves
+    # none of q's atoms hands q back itself.
+    rng = random.Random(17)
+    kept = 0
+    for _ in range(3000):
+        p, q = rand_perm(rng, hi=14), rand_perm(rng, hi=14)
+        got = q.perm_apply(p)
+        assert_same(got, compose(p, compose(q, p.inverse())))
+        fixed = not set(p.mapping) & set(q.mapping)
+        assert (got is q) == fixed, (p, q)
+        kept += fixed
+    assert 300 < kept < 2700

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import json
 import random
@@ -1004,6 +1005,24 @@ def test_a_moved_node_still_compares_its_premises_at_the_new_witness(monkeypatch
         check(d, 1)
     assert err.value == CheckError("FreshnessViolated", (), f"premises not re-derivable at witness {w2!r}: "
                                    "RuleShape at root: premise does not match the opened conclusion at the witness")
+
+
+def test_a_check_error_passes_through_a_context_manager() -> None:
+    # Leaving a @contextmanager block by an exception sets its __traceback__.
+    @contextlib.contextmanager
+    def block():
+        yield
+
+    raised = CheckError("RuleShape", (0, 1), "premise does not match")
+    with pytest.raises(CheckError) as err:
+        with block():
+            raise raised
+    assert err.value is raised
+    assert (err.value.reason, err.value.path, err.value.message) == ("RuleShape", (0, 1), "premise does not match")
+    assert str(err.value) == "RuleShape at 0/1: premise does not match"
+    assert err.value == CheckError("RuleShape", (0, 1), "premise does not match")
+    assert err.value != CheckError("RuleShape", (0,), "premise does not match")
+    assert hash(err.value) == hash(CheckError("RuleShape", (0, 1), "premise does not match"))
 
 
 def replicated_output(unfoldings: int) -> Derivation:

@@ -5,7 +5,7 @@ from functools import reduce
 import pytest
 
 from lnpi.atoms import Atom, Permutation, swap
-from lnpi.gen import rand_finite_nameset, rand_nameset
+from lnpi.gen import rand_finite_nameset, rand_nameset, rand_perm
 from lnpi.namesets import (
     MAX_JSON_MODULUS,
     AllNamesAvoided,
@@ -297,6 +297,31 @@ def test_perm_apply_on_periodic_set_records_boundary_crossings() -> None:
     got = ODD.perm_apply(swap(a[1], a[2]))
     assert got.member(a[2]) and not got.member(a[1])
     assert got.member(a[3]) and not got.member(a[4])
+
+
+def ref_perm_apply(s: NameSet, p: Permutation) -> NameSet:
+    """p . s as built before the fast path: the new flips through the checked
+    constructor, which minimises the modulus again."""
+    moved = p.mapping
+    flips = {x for x in s.flips if x not in moved}
+    flips.update(y for x, y in moved.items() if s.member(Atom(x)) != s._base(y))
+    return NameSet(s.modulus, s.residues, frozenset(flips))
+
+
+def test_perm_apply_matches_the_checked_construction() -> None:
+    # The image skips minimising its unchanged base, and a p that fixes s
+    # hands s back itself.
+    rng = random.Random(29)
+    kept = 0
+    for _ in range(3000):
+        s = rand_nameset(rng, hi=14)
+        p = rand_perm(rng, hi=14)
+        got, ref = s.perm_apply(p), ref_perm_apply(s, p)
+        assert (got.modulus, got.residues, got.flips) == (ref.modulus, ref.residues, ref.flips), (s, p)
+        assert got == ref and hash(got) == hash(ref)
+        assert (got is s) == (ref == s), (s, p)
+        kept += got is s
+    assert 300 < kept < 2700
 
 
 # ------------- support -------------

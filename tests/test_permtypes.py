@@ -7,7 +7,7 @@ from lnpi.atoms import Atom, compose, identity, swap
 from lnpi.binding import close_at, lc_at, lc_cofinite, open_at
 from lnpi.gen import rand_atom, rand_family, rand_nameset, rand_open_term, rand_perm
 from lnpi.namesets import NameSet, union_all
-from lnpi.permtypes import FiniteTermSet, IndexedFamily, apply, is_fresh, supp
+from lnpi.permtypes import FiniteTermSet, IndexedFamily, PermValue, apply, is_fresh, supp
 from lnpi.pisyntax import Bound, Free, Inp, Nil, Out
 
 a = [Atom(i) for i in range(10)]
@@ -242,3 +242,41 @@ def test_derived_container_structure_matches_the_hand_written_one() -> None:
             assert v.support() == union_all(*(supp(e) for e in elems))
             assert lc_at(i, v) == all(lc_at(i, e) for e in elems)
             assert lc_cofinite(v) == all(lc_cofinite(e) for e in elems)
+
+
+def ref_apply(p, v):
+    """p . v rebuilding every container, as apply did before it kept the fixed ones."""
+    if type(v) in (tuple, list, frozenset):
+        return type(v)(ref_apply(p, x) for x in v)
+    if isinstance(v, PermValue):
+        return type(v)(*(ref_apply(p, getattr(v, f)) for f in v.__match_args__))
+    return apply(p, v)
+
+
+def test_apply_hands_back_what_p_fixes() -> None:
+    # A tuple, frozenset or PermValue whose moved parts are its own parts is
+    # kept, so a p that moves no atom of its support hands it back; a list is
+    # mutable, so it is always a new one.
+    rng = random.Random(43)
+    kept = 0
+    for _ in range(600):
+        p = rand_perm(rng, hi=14)
+        # Equal images of these are the same object; a set's image can equal
+        # it with its elements moved onto one another.
+        exact = [(rand_atom(rng), rand_nameset(rng, hi=12), rand_open_term(rng, depth=1)),
+                 rand_family(rng, rand_atom)]
+        sets = [FiniteTermSet.of(rand_open_term(rng, depth=1) for _ in range(rng.randrange(4))),
+                frozenset({rand_atom(rng), (rand_atom(rng),)})]
+        for k, v in enumerate(exact + sets):
+            got = apply(p, v)
+            assert got == ref_apply(p, v), (p, v)
+            s = supp(v)
+            if s.is_finite() and p.mapping.keys().isdisjoint(x.index for x in s.atoms()):
+                assert got is v, (p, v)
+                kept += 1
+            if k < len(exact):
+                assert (got is v) == (got == v), (p, v)
+            lst = [v]
+            assert apply(p, lst) is not lst and apply(p, lst) == [got]
+            assert apply(p, (lst,))[0] is not lst
+    assert kept > 300

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
+from lnpi import gen
 from lnpi.atoms import Atom, swap
 from lnpi.namesets import NameSet
 from lnpi.oracle import PROBE, THRESHOLD, in_supp, supp_disagreements
-from lnpi.permtypes import supp
+from lnpi.permtypes import apply, supp
 from lnpi.pisyntax import Bound, Free, Nil, Out, Res
 from lnpi.props import SUITES, run_suite
 
@@ -50,6 +51,35 @@ def test_oracle_flags_wrong_support_claims() -> None:
     t = (a[0], a[1])
     assert supp_disagreements(t, NameSet.finite([a[0]])) == [1]
     assert supp_disagreements(t, NameSet.finite([a[0], a[1], a[2]])) == [2]
+
+
+def ref_in_supp(a: Atom, t) -> bool:
+    """The oracle before it kept its probes in a table: a new swap per probe."""
+    return any(b != a.index and apply(swap(a, Atom(b)), t) != t for b in range(THRESHOLD + 1, PROBE))
+
+
+def test_the_probe_table_decides_what_new_swaps_decide() -> None:
+    # Candidates below the threshold, past it, and inside the window (20).
+    rng = random.Random(37)
+    hits = 0
+    for _ in range(40):
+        for v in (
+            gen.rand_atom(rng),
+            gen.rand_perm(rng),
+            gen.rand_term(rng, depth=2),
+            gen.rand_nameset(rng, hi=12),
+            (gen.rand_atom(rng), gen.rand_nameset(rng, hi=12)),
+            [gen.rand_atom(rng)],
+            gen.rand_family(rng, gen.rand_atom),
+            gen.rand_term_set(rng),
+            Atom(20),
+            (Atom(20), Atom(rng.randrange(12))),
+        ):
+            for i in (*range(16), 20, 40, 63, 64, 70):
+                got = in_supp(Atom(i), v)
+                assert got == ref_in_supp(Atom(i), v), (i, v)
+                hits += got
+    assert hits > 100
 
 
 # ------------- the suites -------------
