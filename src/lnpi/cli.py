@@ -36,7 +36,7 @@ from .lts import (
     step,
 )
 from .namesets import NameSet
-from .parsing import ParseError, intern, parse, print_term, render_atom, render_nameset
+from .parsing import Naming, ParseError, free_indices, intern, parse, print_term, render_nameset
 from .pisyntax import free_names, term_lc
 from .props import SUITES, run_suite
 
@@ -53,12 +53,12 @@ _ACTION = re.compile(
 
 def _session(args) -> tuple[Config, Symtab]:
     symtab: Symtab = {}
-    env_atoms = []
+    fresh, env_atoms = free_indices(symtab), []
     for chunk in args.env or []:
         for ident in chunk.split(","):
             ident = ident.strip()
             if ident:
-                env_atoms.append(intern(symtab, ident))
+                env_atoms.append(intern(symtab, ident, fresh=fresh))
     proc, symtab = parse(args.process, symtab)
     return Config(NameSet.finite(env_atoms), proc), symtab
 
@@ -79,16 +79,16 @@ def _parse_action(text: str, symtab: Symtab) -> Action:
 
 
 def _action_str(a: Action, symtab: Symtab) -> str:
+    name = Naming(symtab)
     match a:
         case Tau():
             return "tau"
         case Input(c, n):
-            return f"{render_atom(c, symtab)}?{render_atom(n, symtab)}"
+            return f"{name[c]}?{name[n]}"
         case Output(c, n):
-            return f"{render_atom(c, symtab)}!{render_atom(n, symtab)}"
+            return f"{name[c]}!{name[n]}"
         case BoundOutput(c, n):
-            w = render_atom(n, symtab)
-            return f"({w}){render_atom(c, symtab)}!{w}"
+            return f"({name[n]}){name[c]}!{name[n]}"
     raise TypeError(f"not an action: {a!r}")
 
 

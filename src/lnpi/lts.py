@@ -145,9 +145,6 @@ class BoundOutput(Action):
     name: Atom  # the extruded name; never equals the channel
 
 
-action_from_json = Action.from_json
-
-
 def extr(a: Action) -> NameSet:
     """The names the action turns from bound to free."""
     if isinstance(a, BoundOutput):
@@ -394,7 +391,6 @@ def _res_derivs(env, proc, body, fuel, avoid, memo):
 
 
 def _visible_fresh(t: Transition, base: NameSet) -> list[Atom]:
-    seen: list[Atom] = []
     order = []
     a = t.action
     if not isinstance(a, Tau):
@@ -402,10 +398,7 @@ def _visible_fresh(t: Transition, base: NameSet) -> list[Atom]:
     order += term_atom_list(t.dst.proc)
     if t.dst.env.is_finite():
         order += list(t.dst.env.atoms())
-    for x in order:
-        if not base.member(x) and x not in seen:
-            seen.append(x)
-    return seen
+    return list(dict.fromkeys(x for x in order if not base.member(x)))  # first occurrences, in order
 
 
 def _renaming(t: Transition, base: NameSet) -> Permutation | None:

@@ -7,8 +7,11 @@ Prefixes bind tighter than "|", "|" associates left, parentheses group.
 Parsing resolves binder identifiers to bound indices with a scope stack
 and interns free identifiers in first-occurrence order; the symbol table
 (identifier -> atom, a bijection) travels with the text, never as shared
-state.  Printing opens each binder with the least atom that avoids both
-the body's free atoms and their display names.
+state.  Printing names each atom through one table per output: the first
+identifier that the symbol table maps to it, else x<i>, with _<k> appended
+while a user name takes it.  A binder opens at the least atom outside the
+table and the body's free atoms.  Its auto name is no identifier in the
+table and no other atom's name, so it captures no free name of the body.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from itertools import count, filterfalse
 from typing import Iterable, Iterator
 
 from .atoms import Atom
-from .namesets import NameSet
+from .namesets import NameSet, fresh
 from .permtypes import IndexedFamily
 from .pisyntax import (
     Bound,
@@ -192,33 +195,35 @@ def parse(text: str, symtab: dict[str, Atom] | None = None) -> tuple[Term, dict[
     return t, p.symtab
 
 
-def render_atom(a: Atom, symtab: dict[str, Atom]) -> str:
-    for name, atom in symtab.items():
-        if atom == a:
-            return name
-    candidate = f"x{a.index}"
-    k = 0
-    while candidate in symtab:  # user name wins, the auto name steps aside
-        k += 1
-        candidate = f"x{a.index}_{k}"
-    return candidate
+class Naming(dict):
+    """Atom -> display name, for one printed output.  Build one per output:
+    the symbol table grows as a session interns names."""
 
+    def __init__(self, symtab: dict[str, Atom]):
+        super().__init__((a, ident) for ident, a in reversed(symtab.items()))  # the first identifier wins
+        self.symtab = symtab
 
-def _render_name(n: Name, symtab: dict[str, Atom]) -> str:
-    if isinstance(n, Free):
-        return render_atom(n.atom, symtab)
-    raise ValueError(f"cannot print a dangling bound index {n.level}")
-
-
-def _binder_atom(body: Term, symtab: dict[str, Atom]) -> Atom:
-    # Least atom whose display name cannot capture anything free in the body.
-    fn = free_names(body).atoms()
-    taken_names = {render_atom(a, symtab) for a in fn}
-    return next(w for w in map(Atom, free_indices(symtab, fn)) if render_atom(w, symtab) not in taken_names)
+    def __missing__(self, a: Atom) -> str:
+        name, k = f"x{a.index}", 0
+        while name in self.symtab:  # user name wins, the auto name steps aside
+            k += 1
+            name = f"x{a.index}_{k}"
+        self[a] = name
+        return name
 
 
 def print_term(t: Term, symtab: dict[str, Atom] | None = None) -> str:
     symtab = symtab or {}
+    name, taken = Naming(symtab), NameSet.finite(symtab.values())
+
+    def shown(n: Name) -> str:
+        if isinstance(n, Free):
+            return name[n.atom]
+        raise ValueError(f"cannot print a dangling bound index {n.level}")
+
+    def opened(b: Term) -> tuple[str, Term]:
+        w = fresh(taken.union(free_names(b)))
+        return name[w], b.open_at(0, w)
 
     def par_level(t: Term) -> str:
         # "|" associates left: the spine runs down the left operands.
@@ -238,16 +243,13 @@ def print_term(t: Term, symtab: dict[str, Atom] | None = None) -> str:
             case Rep(b):
                 return f"*({par_level(b)})"
             case Res(b):
-                w = _binder_atom(b, symtab)
-                return f"new {render_atom(w, symtab)}. {prefix_level(b.open_at(0, w))}"
+                w, body = opened(b)
+                return f"new {w}. {prefix_level(body)}"
             case Inp(c, b):
-                w = _binder_atom(b, symtab)
-                return (
-                    f"{_render_name(c, symtab)}?({render_atom(w, symtab)})."
-                    f" {prefix_level(b.open_at(0, w))}"
-                )
+                w, body = opened(b)
+                return f"{shown(c)}?({w}). {prefix_level(body)}"
             case Out(c, m, k):
-                return f"{_render_name(c, symtab)}!{_render_name(m, symtab)}. {prefix_level(k)}"
+                return f"{shown(c)}!{shown(m)}. {prefix_level(k)}"
             case Sum(f):
                 entries = ", ".join(par_level(e) for e in f.entries)
                 return f"sum [{entries}; {par_level(f.default)}]"
@@ -257,16 +259,20 @@ def print_term(t: Term, symtab: dict[str, Atom] | None = None) -> str:
 
 
 def render_nameset(s: NameSet, symtab: dict[str, Atom] | None = None) -> str:
-    symtab = symtab or {}
+    name = Naming(symtab or {})
+
+    def listed(atoms: Iterable[Atom]) -> str:
+        return "{" + ", ".join(map(name.__getitem__, atoms)) + "}"
+
     if s.is_finite():
-        return "{" + ", ".join(render_atom(a, symtab) for a in s.atoms()) + "}"
+        return listed(s.atoms())
     if s.is_cofinite():
-        return "all \\ " + render_nameset(s.complement(), symtab)
+        return "all \\ " + listed(s.complement().atoms())
     base = f"mod {s.modulus} residues {{{', '.join(map(str, sorted(s.residues)))}}}"
-    added = [a for a, v in s.exceptions if v]
-    removed = [a for a, v in s.exceptions if not v]
+    added = [Atom(a) for a, v in s.exceptions if v]
+    removed = [Atom(a) for a, v in s.exceptions if not v]
     if added:
-        base += " + {" + ", ".join(render_atom(Atom(a), symtab) for a in added) + "}"
+        base += " + " + listed(added)
     if removed:
-        base += " - {" + ", ".join(render_atom(Atom(a), symtab) for a in removed) + "}"
+        base += " - " + listed(removed)
     return base

@@ -25,7 +25,6 @@ from lnpi.lts import (
     Trace,
     TraceStep,
     Transition,
-    action_from_json,
     rename_trace,
     replay,
     step,
@@ -311,7 +310,7 @@ def test_derived_codec_matches_the_hand_written_one(monkeypatch) -> None:
             assert cfg.to_json() == ref_config_to_json(cfg)
             assert Config.from_json(ref_config_to_json(cfg)) == cfg
             assert Term.from_json(ref_term_to_json(cfg.proc)) == cfg.proc
-        assert action_from_json(ref_action_to_json(t.action)) == t.action
+        assert Action.from_json(ref_action_to_json(t.action)) == t.action
     traces = corpus_traces(steps)
     assert len(traces) > 50
     for tr in traces:

@@ -26,7 +26,6 @@ from lnpi.lts import (
     Trace,
     TraceStep,
     Transition,
-    action_from_json,
     check,
     extr,
     extrusion_counterexample,
@@ -71,11 +70,11 @@ def test_action_permutation_and_json() -> None:
     acts = [Tau(), Input(a[0], a[1]), Output(a[2], a[2]), BoundOutput(a[0], a[3])]
     p = swap(a[0], a[3])
     for act in acts:
-        assert action_from_json(act.to_json()) == act
-        assert action_from_json(act.perm_apply(p).to_json()) == act.perm_apply(p)
+        assert Action.from_json(act.to_json()) == act
+        assert Action.from_json(act.perm_apply(p).to_json()) == act.perm_apply(p)
     assert BoundOutput(a[0], a[3]).perm_apply(p) == BoundOutput(a[3], a[0])
     with pytest.raises(ValueError):
-        action_from_json({"tag": "zap"})
+        Action.from_json({"tag": "zap"})
 
 
 # ------------- configurations -------------
