@@ -5,7 +5,10 @@ files.  Identifiers are interned to atoms in first-occurrence order
 (environment first, then the process, then any action names), so equal
 invocations produce byte-identical output.  Exit codes: 1 syntax error,
 2 ill-formed configuration, 3 unmatched trace action, 4 rename atoms not
-fresh, 5 failed check or failed property suite.
+fresh, 5 failed check or failed property suite.  Commands raise; `main` is
+the one place where a failure becomes its exit code and one stderr line.
+A file of the wrong shape, and input nested past the interpreter's
+recursion limit, are syntax errors there.
 """
 
 from __future__ import annotations
@@ -120,25 +123,6 @@ def _load_json(path: str):
         raise ParseError(f"cannot read {path}: {e}", 0) from e
 
 
-def _decoded(path: str, what: str, read):
-    """read(), with a file of the wrong shape reported as a syntax error in path."""
-    try:
-        return read()
-    except RecursionError as e:
-        raise ParseError(f"{path} is nested too deeply", 0) from e
-    except DecodeError as e:
-        raise ParseError(f"{path} is not a {what}: {e}", 0) from e
-
-
-def _stepped(run, fuel: int):
-    """run(), with an enumeration that recurses past the interpreter's limit
-    reported as a syntax error, as a file nested too deeply is."""
-    try:
-        return run()
-    except RecursionError as e:
-        raise ParseError(f"the process is nested too deeply to step at fuel {fuel}", 0) from e
-
-
 def _names_json(symtab: Symtab) -> dict[str, int]:
     return {ident: atom.index for ident, atom in symtab.items()}
 
@@ -196,14 +180,9 @@ def cmd_lc(args) -> int:
 
 def cmd_step(args) -> int:
     cfg, symtab = _session(args)
-
-    def run():  # the derivations are as deep as the enumeration went: encode them under its report
-        result, table = step(cfg, args.fuel), {}  # one table: what the derivations share is encoded once
-        return result, args.deriv and _json_text([d.to_json(table) for _, d in result.results])
-
-    result, text = _stepped(run, args.fuel)
-    if args.deriv:
-        _write_text(args.deriv, text)
+    result, table = step(cfg, args.fuel), {}  # one table: what the derivations share is encoded once
+    if args.deriv:  # the whole file is encoded before it is opened
+        _write_text(args.deriv, _json_text([d.to_json(table) for _, d in result.results]))
     if args.json:
         _emit_json(
             {
@@ -226,21 +205,17 @@ def cmd_trace(args) -> int:
     if not isinstance(listed, list) or not all(isinstance(x, str) for x in listed):
         raise ParseError(f"{args.actions} must hold a JSON list of action strings", 0)
     actions = [_parse_action(x, symtab) for x in listed]
-    return _report_trace(args, _stepped(lambda: replay(cfg, actions, args.fuel), args.fuel), symtab)
+    return _report_trace(args, replay(cfg, actions, args.fuel), symtab)
 
 
 def cmd_rename(args) -> int:
-    data = _load_json(args.trace)
-
-    def read():
-        # The names table is the CLI's, beside the trace that the library writes.
-        names = data.pop("names", {}) if type(data) is dict else {}
-        trace = Trace.from_json(data)
-        if not trace.start.env.is_finite():
-            raise DecodeError("expected a finite environment").at("env").at("start")
-        return _names_from_json(names), trace, trace.start.support().atoms()
-
-    symtab, trace, reserved = _decoded(args.trace, "trace file", read)
+    data = _load_json(args.file)
+    # The names table is the CLI's, beside the trace that the library writes.
+    names = data.pop("names", {}) if type(data) is dict else {}
+    trace = Trace.from_json(data)
+    if not trace.start.env.is_finite():
+        raise DecodeError("expected a finite environment").at("env").at("start")
+    symtab, reserved = _names_from_json(names), trace.start.support().atoms()
     n = intern(symtab, args.old, reserved)
     m = intern(symtab, args.new, reserved)
     try:
@@ -300,16 +275,12 @@ def cmd_check_deriv(args) -> int:
     # Every entry is decoded before any is checked, so a malformed file prints
     # no "ok".  One table and one check_each decode and check each
     # sub-derivation the entries repeat once.
-    def read():
-        table, derivs = {}, []
-        try:
-            for entry in listed:
-                derivs.append(Derivation.from_json(entry, table))
-        except DecodeError as e:
-            raise e.at(len(derivs)) if listed is data else e
-        return derivs
-
-    derivs = _decoded(args.file, "derivation file", read)
+    table, derivs = {}, []
+    try:
+        for entry in listed:
+            derivs.append(Derivation.from_json(entry, table))
+    except DecodeError as e:
+        raise e.at(len(derivs)) if listed is data else e
     for d in check_each(derivs, args.witnesses):
         print(f"ok [{d.rule}] {_action_str(d.conclusion.action, {})}")
     return 0
@@ -385,13 +356,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_trace)
 
     sp = sub.add_parser("rename", help="swap two start-fresh names through a trace")
-    sp.add_argument("trace", help="trace JSON written by the trace command")
+    sp.add_argument("file", metavar="trace", help="trace JSON written by the trace command")
     sp.add_argument("old", help="name to rename (must be fresh for the start)")
     sp.add_argument("new", help="replacement name (must be fresh for the start)")
     sp.add_argument("--witnesses", type=_natural, default=2, help="extra fresh witnesses per re-check")
     sp.add_argument("--deriv", metavar="FILE", help="write the renamed trace as JSON")
     sp.add_argument("--json", action="store_true", help="machine-readable output")
-    sp.set_defaults(fn=cmd_rename)
+    sp.set_defaults(fn=cmd_rename, decodes="trace file")
 
     sp = sub.add_parser("perm", help="apply a permutation, written as cycles, to a process")
     sp.add_argument("cycles", help='cycle notation, e.g. "(n m)(p q)"')
@@ -401,7 +372,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("check-deriv", help="validate a derivation file")
     sp.add_argument("file", help="derivation JSON (one object or a list)")
     sp.add_argument("--witnesses", type=_natural, default=2, help="extra fresh witnesses per cofinite node")
-    sp.set_defaults(fn=cmd_check_deriv)
+    sp.set_defaults(fn=cmd_check_deriv, decodes="derivation file")
 
     sp = sub.add_parser("selftest", help="run a built-in property suite")
     sp.add_argument("suite", choices=sorted(SUITES), help="which suite to run")
@@ -416,7 +387,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        try:
+            return args.fn(args)
+        except DecodeError as e:  # only the commands that set `decodes` decode a file
+            raise ParseError(f"{args.file} is not a {args.decodes}: {e}", 0) from e
+        except RecursionError as e:  # a walk that still takes a frame per level met the limit
+            where = args.file if "decodes" in args else "the process"
+            stepping = f" to step at fuel {args.fuel}" if "fuel" in args else ""
+            raise ParseError(f"{where} is nested too deeply{stepping}", 0) from e
     except ParseError as e:
         print(f"syntax error: {e}", file=sys.stderr)
         return 1

@@ -463,15 +463,15 @@ def _walk(d: Derivation, extra_witnesses: int, done: dict, moves: dict) -> None:
     # extra witness w2 as one node: witness w2, and its premises cut down to
     # their conclusions moved by swap(w, w2) through moves' table for that
     # swap (see the module docstring).  done, the success table, maps
-    # (id(node), extra) to the node once its checks passed; met again, it is
-    # skipped with its subtree.  That is sound because the stack is LIFO:
-    # the subtree is popped before anything pushed before the node, and a
-    # failure in it ends the walk.
+    # id(node) to the node once its checks passed; met again, it is skipped
+    # with its subtree.  A table serves one extra_witnesses count only (check
+    # and check_each make it per call), so the id alone is the key.  That is
+    # sound because the stack is LIFO: the subtree is popped before anything
+    # pushed before the node, and a failure in it ends the walk.
     todo = [(d, ())]
     while todo:
         d, path = todo.pop()
-        key = (id(d), extra_witnesses)
-        if key in done:
+        if id(d) in done:
             continue
         _check(d, path)
         if extra_witnesses and d.cofinite:
@@ -484,7 +484,7 @@ def _walk(d: Derivation, extra_witnesses: int, done: dict, moves: dict) -> None:
                     _check(node, path)
                 except CheckError as e:
                     _fail("FreshnessViolated", path, f"premises not re-derivable at witness {w2!r}: {e}")
-        done[key] = d
+        done[id(d)] = d
         for i in range(len(d.premises) - 1, -1, -1):
             todo.append((d.premises[i], path + (i,)))
 

@@ -129,7 +129,9 @@ class NameSet:
         """The k least atoms not in the set (fewer if its complement is smaller)."""
         if self.is_cofinite():  # the complement is the flips: a scan would not end
             return [Atom(a) for a in sorted(self.flips)[:k]]
-        return [Atom(n) for n in islice(filterfalse(self._member_index, count()), k)]
+        # A finite set's members are its flips, so its scan runs in C.
+        member = self._member_index if self.residues else self.flips.__contains__
+        return [Atom(n) for n in islice(filterfalse(member, count()), k)]
 
     def atoms(self) -> tuple[Atom, ...]:
         """All members of a finite set, ascending."""
@@ -240,10 +242,6 @@ def union_all(*sets: NameSet) -> NameSet:
         if s.residues:
             out = out.union(s)
     return out
-
-
-def supp_of_set(s: NameSet) -> NameSet:
-    return s.support()
 
 
 def fresh(avoid: NameSet) -> Atom:

@@ -388,11 +388,21 @@ def term_lc(t: Term) -> bool:
 
 
 def term_size(t: Term) -> int:
-    return 1 + sum(map(term_size, t.subterms()))
+    """The number of term nodes, each occurrence of a shared one counted."""
+    size, todo = 0, [t]
+    while todo:
+        todo += todo.pop().subterms()
+        size += 1
+    return size
 
 
 def par_factors(t: Term) -> list[Term]:
     """The leaves of the parallel-composition spine, left to right."""
-    if isinstance(t, Par):
-        return par_factors(t.left) + par_factors(t.right)
-    return [t]
+    out, todo = [], [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, Par):
+            todo += t.right, t.left
+        else:
+            out.append(t)
+    return out

@@ -28,7 +28,7 @@ from lnpi.lts import (
     step,
     weaken,
 )
-from lnpi.namesets import NameSet, fresh, supp_of_set, union_all
+from lnpi.namesets import NameSet, fresh, union_all
 from lnpi.permtypes import apply, is_fresh
 from lnpi.pisyntax import (
     Bound,
@@ -85,9 +85,9 @@ def test_even_odd_support_exact_values() -> None:
     odd = NameSet.periodic(2, [1])
     even = NameSet.periodic(2, [0])
     ok = (
-        supp_of_set(odd.union(even)) == NameSet.empty()
-        and supp_of_set(odd) == NameSet.all_atoms()
-        and supp_of_set(odd).member(a[0])
+        odd.union(even).support() == NameSet.empty()
+        and odd.support() == NameSet.all_atoms()
+        and odd.support().member(a[0])
     )
     report(2, ok, "support of odd/even residue sets comes out exactly")
 

@@ -182,6 +182,34 @@ def test_stepping_past_the_recursion_limit_is_a_syntax_error(
         assert run(capsys, "trace", "-e", "c", "--fuel", fuel, proc, actions) == want
 
 
+NESTED = "new x. " * 1000 + "0"
+TOO_DEEP = {
+    "fmt": ["fmt", NESTED],
+    "supp": ["supp", NESTED],
+    "lc": ["lc", NESTED],
+    "perm": ["perm", "(c d)", NESTED],
+    "perm-wide": ["perm", "(c d)", " | ".join(["c!d.0"] * 1000)],
+    "step": ["step", "-e", "c", NESTED],
+    "trace": ["trace", "-e", "c", NESTED],
+}
+
+
+@pytest.mark.parametrize("case", TOO_DEEP)
+def test_every_command_reports_a_process_past_the_recursion_limit_in_one_line(
+    capsys, request, tmp_path, case
+) -> None:
+    # The parser takes frames per binder and map_names per `|`.  With the
+    # limit lowered to 100 frames above this test, 1000 of either is too
+    # deep on any interpreter; main reports it as one syntax error.
+    argv = TOO_DEEP[case] + ([write_actions(tmp_path, ["c!c"])] if case == "trace" else [])
+    limit = sys.getrecursionlimit()
+    request.addfinalizer(lambda: sys.setrecursionlimit(limit))
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    stepping = " to step at fuel 8" if case in ("step", "trace") else ""
+    want = f"syntax error: the process is nested too deeply{stepping} (at position 0)\n"
+    assert run(capsys, *argv) == (1, "", want)
+
+
 # ------------- derivation files and check-deriv -------------
 
 

@@ -11,7 +11,6 @@ from lnpi.namesets import (
     AllNamesAvoided,
     NameSet,
     fresh,
-    supp_of_set,
     union_all,
 )
 
@@ -102,6 +101,24 @@ def test_least_outside_yields_least_non_members_first() -> None:
     assert NameSet.cofinite([a[7], a[2]]).least_outside(5) == [a[2], a[7]]
     assert ODD.union(NameSet.finite([a[0]])).least_outside(2) == [a[2], a[4]]
     assert NameSet.all_atoms().least_outside(1) == []
+
+
+def test_least_outside_equals_the_plain_scan_on_every_kind_of_set() -> None:
+    # A finite set scans its flips; the plain scan asks member() of each
+    # atom.  200 atoms hold every answer here: exceptions lie below 40, and
+    # a non-cofinite modulus is at most 6, so 10 non-members lie below 100.
+    def plain(s: NameSet, k: int) -> list[Atom]:
+        return [Atom(i) for i in range(200) if not s.member(Atom(i))][:k]
+
+    rng = random.Random(11)
+    sets = [rand_nameset(rng, 40) for _ in range(400)]
+    sets += [NameSet.empty(), NameSet.all_atoms(), NameSet.finite(a[:5]), NameSet.finite([a[1], a[3], a[9]])]
+    sets += [NameSet.cofinite([a[0], a[4]]), NameSet.cofinite([]), ODD, EVEN, NameSet.periodic(5, [0, 1, 3])]
+    sets += [ODD.union(NameSet.finite([a[0], a[2]])), EVEN.difference(NameSet.finite([a[4]]))]
+    assert {s.is_finite() for s in sets} == {True, False} and any(s.is_cofinite() for s in sets)
+    for s in sets:
+        for k in (0, 1, 3, 10):
+            assert s.least_outside(k) == plain(s, k), (s, k)
 
 
 def test_atoms_requires_a_finite_set() -> None:
@@ -329,23 +346,23 @@ def test_perm_apply_matches_the_checked_construction() -> None:
 
 def test_support_of_finite_set_is_itself() -> None:
     s = NameSet.finite([a[0], a[5]])
-    assert supp_of_set(s) == s
+    assert s.support() == s
 
 
 def test_support_of_cofinite_set_is_the_complement() -> None:
     s = NameSet.cofinite([a[2], a[4]])
-    assert supp_of_set(s) == NameSet.finite([a[2], a[4]])
+    assert s.support() == NameSet.finite([a[2], a[4]])
 
 
 def test_support_of_genuinely_periodic_set_is_all_atoms() -> None:
-    assert supp_of_set(ODD) == NameSet.all_atoms()
-    assert supp_of_set(EVEN) == NameSet.all_atoms()
-    assert a[0] in supp_of_set(ODD)
+    assert ODD.support() == NameSet.all_atoms()
+    assert EVEN.support() == NameSet.all_atoms()
+    assert a[0] in ODD.support()
 
 
 def test_support_of_odd_union_even_is_empty() -> None:
     # the union is everything, and swapping inside everything changes nothing
-    assert supp_of_set(ODD.union(EVEN)) == NameSet.empty()
+    assert ODD.union(EVEN).support() == NameSet.empty()
 
 
 # ------------- serialization -------------

@@ -1,5 +1,7 @@
+import inspect
 import operator
 import random
+import sys
 
 import pytest
 
@@ -162,6 +164,27 @@ def test_par_factors_flattens_nested_parallel() -> None:
     t = Par(Par(Nil(), EXTRUDER), Par(FORWARDER, Nil()))
     assert par_factors(t) == [Nil(), EXTRUDER, FORWARDER, Nil()]
     assert par_factors(EXTRUDER) == [EXTRUDER]
+
+
+def test_term_size_and_par_factors_take_no_frame_per_level(request) -> None:
+    # Built first; then the limit is lowered to 200 frames above this test,
+    # which a walk that takes a frame per level of 10 000 cannot stay under.
+    n = 10_000
+    prefixes = Nil()
+    for _ in range(n):
+        prefixes = Out(Free(a[0]), Free(a[0]), prefixes)
+    factors = [Out(Free(a[i % 10]), Free(a[i // 10 % 10]), Nil()) for i in range(n)]
+    left, right = factors[0], factors[-1]
+    for i in range(1, n):
+        left, right = Par(left, factors[i]), Par(factors[n - 1 - i], right)
+    limit = sys.getrecursionlimit()
+    request.addfinalizer(lambda: sys.setrecursionlimit(limit))
+    sys.setrecursionlimit(len(inspect.stack(0)) + 200)
+    assert term_size(prefixes) == n + 1
+    # each factor is an Out and its Nil, joined by n - 1 Pars
+    assert term_size(left) == term_size(right) == 3 * n - 1
+    assert par_factors(left) == par_factors(right) == factors
+    assert par_factors(prefixes) == [prefixes]
 
 
 # ------------- permutation action and support -------------
